@@ -27,7 +27,6 @@ from .jacobi import (
     full,
     neutral,
     symmetry_defect,
-    vacuum_moment,
     vacuum_moments,
 )
 from .measures import GridSpace, JumpMeasure, TestFunction, gauss_laguerre_gamma
@@ -68,7 +67,6 @@ __all__ = [
     "partitions",
     "stieltjes",
     "symmetry_defect",
-    "vacuum_moment",
     "vacuum_moments",
 ]
 

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .fock import FockSpace, SymmetricTensor, level_inner_product, symmetric_basis
 from .jacobi import (
@@ -144,6 +147,12 @@ def _scalar(section: dict, key: str, where: str, default=None) -> str:
     return values[0]
 
 
+def _tolerance(value: float) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError("tolerance must be positive and finite")
+    return value
+
+
 def load_config(path: str) -> RunConfig:
     """Parse and validate a configuration file."""
     try:
@@ -186,9 +195,7 @@ def load_config(path: str) -> RunConfig:
             f"max_moment {max_moment} exceeds depth {depth}: moments past the "
             "truncation would be polluted"
         )
-    tolerance = float(_scalar(run, "tolerance", "run", default="1e-8"))
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
+    tolerance = _tolerance(float(_scalar(run, "tolerance", "run", default="1e-8")))
     oracle_levels = int(_scalar(run, "oracle_levels", "run", default=str(min(2, depth))))
     if oracle_levels < 0:
         raise ValueError("oracle_levels must be nonnegative")
@@ -267,7 +274,7 @@ def cmd_verify_moments(cfg: RunConfig, report: Report) -> int:
         report.add(f"moment{k}.operator", operator_side[k])
         report.add(f"moment{k}.oracle", oracle_side[k])
         report.add(f"moment{k}.rel-error", err)
-        if err > cfg.tolerance:
+        if not (err <= cfg.tolerance):
             failed.append(k)
     symmetry_bad = False
     if cfg.check_symmetry:
@@ -275,7 +282,7 @@ def cmd_verify_moments(cfg: RunConfig, report: Report) -> int:
         neutral_defect = symmetry_defect(neutral(phi, space))
         report.add("adjoint-defect", pair_defect)
         report.add("neutral-symmetry-defect", neutral_defect)
-        symmetry_bad = max(pair_defect, neutral_defect) > cfg.tolerance
+        symmetry_bad = not (pair_defect <= cfg.tolerance and neutral_defect <= cfg.tolerance)
     report.add("status", "pass" if not (failed or symmetry_bad) else "fail")
     if failed:
         report.add("failed-orders", *failed)
@@ -335,11 +342,11 @@ def cmd_oracle_check(cfg: RunConfig, report: Report) -> int:
     report.add("measure-hash", measure_hash(measure))
     report.add("levels", cfg.oracle_levels)
     report.add("tolerance", cfg.tolerance)
-    worst_overall = 0.0
+    level_worst = []
     pairs = 0
     for n in range(cfg.oracle_levels + 1):
         basis = symmetric_basis(n, grid)
-        worst = 0.0
+        errors = []
         embedded = [
             space.embed_symmetric(SymmetricTensor.basis_element(grid, n, i))
             for i in range(basis.dim)
@@ -351,10 +358,11 @@ def cmd_oracle_check(cfg: RunConfig, report: Report) -> int:
                 block_value = level_inner_product(embedded[i], embedded[j], n)
                 oracle_value = chaos_inner_product(fi, fj, model, n)
                 err = abs(block_value - oracle_value) / max(1.0, abs(oracle_value))
-                worst = max(worst, err)
+                errors.append(err)
                 pairs += 1
-        report.add(f"level{n}.max-rel-error", worst)
-        worst_overall = max(worst_overall, worst)
+        level_worst.append(float(np.max(errors)))  # unlike max(), np.max keeps a NaN
+        report.add(f"level{n}.max-rel-error", level_worst[-1])
+    worst_overall = float(np.max(level_worst))
     report.add("pairs", pairs)
     report.add("max-rel-error", worst_overall)
     ok = worst_overall <= cfg.tolerance
@@ -389,9 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.tol is not None:
-            if args.tol <= 0.0:
-                raise ValueError("tolerance must be positive")
-            cfg.tolerance = args.tol
+            cfg.tolerance = _tolerance(args.tol)
         code = _COMMANDS[args.command](cfg, report)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

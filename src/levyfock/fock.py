@@ -8,12 +8,15 @@ are kept only on representative tuples (coordinates sorted inside each
 group, groups laid out in increasing part size); inner products restore
 the full tuple sums through permutation counts.
 
-Enumeration orders are fixed once and for all -- blocks in
-reverse-lexicographic multiplicity order, representatives in
-lexicographic tuple order, summations in enumeration order -- so matrix
-layouts and reports are bit-stable across runs.  Block computations are
-independent of each other and all inputs are immutable, so concurrent
-use is safe; results are identical to sequential execution.
+A vector of the space is one flat array: blocks follow each other in
+level order, each level's blocks in reverse-lexicographic multiplicity
+order, and each block holds its representatives in lexicographic tuple
+order.  The space owns that layout, one slice per block, and sizes the
+slices from the closed-form block dimensions, so building it enumerates
+no representative.  Summations run in enumeration order, so vectors,
+operators and reports are bit-stable across runs.  All inputs are
+immutable, so concurrent use is safe; results are identical to
+sequential execution.
 """
 from __future__ import annotations
 
@@ -397,6 +400,10 @@ class FockSpace:
     atom count).  In the exhausted case the omitted blocks carry exactly
     zero inner-product weight -- the squared polynomial norms vanish on a
     finite support -- so dropping them changes nothing.
+
+    The flat layout gives every block a slice of length
+    ``prod_k C(G + m_k - 1, m_k)`` over its multiplicities ``m_k`` (G grid
+    points): one sorted tuple of grid points per part size.
     """
 
     def __init__(
@@ -427,6 +434,13 @@ class FockSpace:
             for n, alphas in self._blocks.items()
             for alpha in alphas
         }
+        self._slices: dict[tuple[int, MultiIndex], slice] = {}
+        stop = 0
+        for key in self._weights:
+            start = stop
+            stop += math.prod(math.comb(grid.size + m - 1, m) for m in key[1].multiplicities)
+            self._slices[key] = slice(start, stop)
+        self.dim = stop
 
     def blocks(self, n: int) -> tuple[MultiIndex, ...]:
         return self._blocks[n]
@@ -434,11 +448,26 @@ class FockSpace:
     def block_keys(self) -> list[tuple[int, MultiIndex]]:
         return [(n, alpha) for n in range(self.depth + 1) for alpha in self._blocks[n]]
 
+    def block_slice(self, n: int, alpha: MultiIndex) -> slice:
+        """Positions of the block's representatives in the flat layout."""
+        return self._slices[(n, alpha)]
+
     def weight(self, n: int, alpha: MultiIndex) -> float:
         return self._weights[(n, alpha)]
 
     def basis(self, alpha: MultiIndex) -> BlockBasis:
         return block_basis(alpha, self.grid)
+
+    def flat_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Level weight ``n! * weight(n, alpha)`` and representative weight
+        ``mult * sigma`` at every flat position; their product is the
+        squared norm of that position's basis vector."""
+        level = np.empty(self.dim)
+        rep = np.empty(self.dim)
+        for (n, alpha), span in self._slices.items():
+            level[span] = math.factorial(n) * self._weights[(n, alpha)]
+            rep[span] = self.basis(alpha).weight
+        return level, rep
 
     def compatible(self, other: FockSpace) -> bool:
         return (
@@ -448,27 +477,12 @@ class FockSpace:
         )
 
     def zero(self) -> ExtendedFockVector:
-        data = {
-            key: np.zeros(self.basis(key[1]).dim) for key in self.block_keys()
-        }
-        return ExtendedFockVector(self, data)
+        return ExtendedFockVector(self, np.zeros(self.dim))
 
     def vacuum(self) -> ExtendedFockVector:
         v = self.zero()
-        v.data[(0, MultiIndex(()))][0] = 1.0
+        v.values[0] = 1.0  # level zero holds one block of one representative
         return v
-
-    def basis_vector(self, n: int, alpha: MultiIndex, idx: int) -> ExtendedFockVector:
-        v = self.zero()
-        v.data[(n, alpha)][idx] = 1.0
-        return v
-
-    def enumerate_basis(self) -> list[tuple[int, MultiIndex, int]]:
-        return [
-            (n, alpha, i)
-            for n, alpha in self.block_keys()
-            for i in range(self.basis(alpha).dim)
-        ]
 
     def embed_symmetric(self, f: SymmetricTensor) -> ExtendedFockVector:
         """Level-``f.level`` vector whose blocks are the diagonal restrictions of ``f``."""
@@ -478,60 +492,30 @@ class FockSpace:
             raise ValueError("grid mismatch")
         v = self.zero()
         for alpha in self.blocks(f.level):
-            v.data[(f.level, alpha)] = diagonal_restriction(f, alpha).values
+            v[f.level, alpha][:] = diagonal_restriction(f, alpha).values
         return v
 
 
 @dataclass
 class ExtendedFockVector:
-    """Element of a truncated extended Fock space: one array per block."""
+    """Element of a truncated extended Fock space: one array in the space's
+    flat layout.  ``v[n, alpha]`` is a view of block ``(n, alpha)``."""
 
     space: FockSpace
-    data: dict[tuple[int, MultiIndex], np.ndarray]
+    values: np.ndarray
 
-    def block(self, n: int, alpha: MultiIndex) -> BlockTensor:
-        return BlockTensor(self.space.grid, alpha, self.data[(n, alpha)])
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (self.space.dim,):
+            raise ValueError("value array does not match the space's flat layout")
 
-    def copy(self) -> ExtendedFockVector:
-        return ExtendedFockVector(self.space, {k: v.copy() for k, v in self.data.items()})
-
-    def scaled(self, c: float) -> ExtendedFockVector:
-        return ExtendedFockVector(self.space, {k: c * v for k, v in self.data.items()})
+    def __getitem__(self, key: tuple[int, MultiIndex]) -> np.ndarray:
+        return self.values[self.space.block_slice(*key)]
 
     def __add__(self, other: ExtendedFockVector) -> ExtendedFockVector:
         if other.space is not self.space and not self.space.compatible(other.space):
             raise ValueError("vectors live in different spaces")
-        return ExtendedFockVector(
-            self.space, {k: self.data[k] + other.data[k] for k in self.data}
-        )
-
-    def to_lines(self) -> list[str]:
-        """Serialize as one record per (level, block index, representative, value)."""
-        lines = []
-        for (n, alpha) in self.space.block_keys():
-            basis = self.space.basis(alpha)
-            values = self.data[(n, alpha)]
-            for i, rep in enumerate(basis.reps):
-                rep_str = ",".join(str(p) for p in rep) if rep else "-"
-                lines.append(f"{n} {alpha} {rep_str} {values[i]:.17g}")
-        return lines
-
-    @classmethod
-    def from_lines(cls, space: FockSpace, lines: list[str]) -> ExtendedFockVector:
-        v = space.zero()
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            level_str, alpha_str, rep_str, value_str = line.split()
-            n = int(level_str)
-            alpha = MultiIndex(
-                () if alpha_str == "-" else tuple(int(m) for m in alpha_str.split(","))
-            )
-            rep = () if rep_str == "-" else tuple(int(p) for p in rep_str.split(","))
-            basis = space.basis(alpha)
-            v.data[(n, alpha)][basis.index[rep]] = float(value_str)
-        return v
+        return ExtendedFockVector(self.space, self.values + other.values)
 
 
 def _check_pairing(f: ExtendedFockVector, g: ExtendedFockVector) -> None:
@@ -548,7 +532,7 @@ def level_inner_product(f: ExtendedFockVector, g: ExtendedFockVector, n: int) ->
     for alpha in f.space.blocks(n):
         basis = f.space.basis(alpha)
         total += f.space.weight(n, alpha) * float(
-            np.dot(basis.weight * f.data[(n, alpha)], g.data[(n, alpha)])
+            np.dot(basis.weight * f[n, alpha], g[n, alpha])
         )
     return total
 
@@ -560,13 +544,10 @@ def inner_product(f: ExtendedFockVector, g: ExtendedFockVector) -> float:
     total = 0.0
     for n in range(common + 1):
         for alpha in f.space.blocks(n):
-            key = (n, alpha)
-            if key not in g.data:
-                continue
             basis = f.space.basis(alpha)
             total += (
                 math.factorial(n)
                 * f.space.weight(n, alpha)
-                * float(np.dot(basis.weight * f.data[key], g.data[key]))
+                * float(np.dot(basis.weight * f[n, alpha], g[n, alpha]))
             )
     return total

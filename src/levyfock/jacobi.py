@@ -2,25 +2,26 @@
 
 The field operator represents multiplication by the pairing with a test
 function, carried over to the truncated extended Fock space.  Each part
-is assembled block by block.  For every target block the contributing
-source blocks follow from single-part shifts:
+is stored as coalesced ``(row, column, value)`` triplets over the
+space's flat layout, with exact zeros dropped.  For every target block
+the contributing source blocks follow from single-part shifts:
 
 * creation reads, for each part size k of the target, the source block
   with that part demoted by one (dropped entirely for singletons), and
   weighs the test function at each coordinate of the part;
-* the neutral part is diagonal on blocks: each representative is scaled
-  by the sum over part sizes of the matching recurrence coefficient
-  times the test-function values on that segment;
+* the neutral part is diagonal: each representative is scaled by the
+  sum over part sizes of the matching recurrence coefficient times the
+  test-function values on that segment;
 * annihilation combines a grid contraction against the source block with
   one extra singleton, and diagonal promotions that move one coordinate
   from a part of size k-1 into the part of size k, weighted by the
   off-diagonal recurrence coefficient.
 
 Within-block symmetrization is carried out analytically as an average
-over the positions a formula coordinate can occupy, so assembled
-matrices act directly on representative values.  Promotions whose source
-part size exceeds the recurrence table are skipped: they only arise when
-the table exhausts the measure, and then their weight is exactly zero.
+over the positions a formula coordinate can occupy, so the triplets act
+directly on representative values.  Promotions whose source part size
+exceeds the recurrence table are skipped: they only arise when the table
+exhausts the measure, and then their weight is exactly zero.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import BlockBasis, ExtendedFockVector, FockSpace, MultiIndex
+from .fock import BlockBasis, ExtendedFockVector, FockSpace
 from .measures import JumpMeasure, TestFunction
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "neutral",
     "annihilation",
     "full",
-    "vacuum_moment",
     "vacuum_moments",
     "symmetry_defect",
     "adjoint_defect",
@@ -49,26 +49,30 @@ __all__ = [
     "measure_hash",
 ]
 
-BlockKey = tuple[int, MultiIndex]
-
 
 @dataclass
 class FieldOperator:
-    """Block-sparse operator on a truncated extended Fock space.
+    """Sparse operator on a truncated extended Fock space.
 
-    ``blocks`` maps ``(source key, target key)`` pairs to dense matrices
-    between the representative bases of the two blocks; keys are
-    ``(level, block index)``.  Creation entries connect level n to n + 1
-    only, neutral n to n, annihilation n to n - 1.
+    Entry ``vals[i]`` maps flat position ``cols[i]`` of the source to flat
+    position ``rows[i]`` of the image; no (row, column) pair repeats and
+    no value is zero.  Creation entries connect level n to n + 1 only,
+    neutral n to n, annihilation n to n - 1.
     """
 
     kind: str
     space: FockSpace
     phi: TestFunction
-    blocks: dict[tuple[BlockKey, BlockKey], np.ndarray]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def __post_init__(self):
+        keep = self.vals != 0.0
+        self.rows, self.cols, self.vals = self.rows[keep], self.cols[keep], self.vals[keep]
 
     def apply(self, v: ExtendedFockVector) -> ExtendedFockVector:
-        """Blockwise matrix-vector product.
+        """Matrix-vector product; each image entry sums in triplet order.
 
         Creation images out of the top level are dropped: the truncation
         has no room for them, which is why moment queries insist on a
@@ -76,10 +80,10 @@ class FieldOperator:
         """
         if v.space is not self.space and not self.space.compatible(v.space):
             raise ValueError("dimension mismatch: vector space differs from operator space")
-        out = self.space.zero()
-        for (src, dst), mat in self.blocks.items():
-            out.data[dst] += mat @ v.data[src]
-        return out
+        terms = self.vals * v.values[self.cols]
+        return ExtendedFockVector(
+            self.space, np.bincount(self.rows, terms, minlength=self.space.dim)
+        )
 
 
 def _check_phi(phi: TestFunction, space: FockSpace) -> None:
@@ -107,35 +111,17 @@ def _flatten(segments: list[tuple[int, ...]]) -> tuple[int, ...]:
     return tuple(itertools.chain.from_iterable(segments))
 
 
-def _matrix(
-    blocks: dict,
-    src: BlockKey,
-    dst: BlockKey,
-    space: FockSpace,
-) -> np.ndarray:
-    key = (src, dst)
-    mat = blocks.get(key)
-    if mat is None:
-        mat = np.zeros((space.basis(dst[1]).dim, space.basis(src[1]).dim))
-        blocks[key] = mat
-    return mat
+def _adjoint(minus: FieldOperator) -> FieldOperator:
+    """Inner-product adjoint of the annihilation part: its weighted transpose.
 
-
-def _adjoint_blocks(
-    minus_blocks: dict[tuple[BlockKey, BlockKey], np.ndarray], space: FockSpace
-) -> dict[tuple[BlockKey, BlockKey], np.ndarray]:
-    """Inner-product adjoint of a block matrix family, orientation reversed."""
-    blocks: dict[tuple[BlockKey, BlockKey], np.ndarray] = {}
-    for (src, dst), mat in minus_blocks.items():
-        c = (
-            math.factorial(dst[0])
-            * space.weight(*dst)
-            / (math.factorial(src[0]) * space.weight(*src))
-        )
-        w_dst = space.basis(dst[1]).weight
-        w_src = space.basis(src[1]).weight
-        blocks[(dst, src)] = c * (mat * w_dst[:, None]).T / w_src[:, None]
-    return blocks
+    An entry ``m`` from source s to target d becomes
+    ``(c * (m * w_d)) / w_s`` from d to s, with ``c = (d! W_d) / (s! W_s)``
+    the level-times-block weight ratio and ``w`` the representative weights.
+    """
+    level, rep = minus.space.flat_weights()
+    dst, src = minus.rows, minus.cols
+    vals = level[dst] / level[src] * (minus.vals * rep[dst]) / rep[src]
+    return FieldOperator("creation", minus.space, minus.phi, src, dst, vals)
 
 
 def creation(phi: TestFunction, space: FockSpace) -> FieldOperator:
@@ -143,23 +129,20 @@ def creation(phi: TestFunction, space: FockSpace) -> FieldOperator:
 
     On plainly symmetric inputs this is the symmetrized tensor product
     with the test function.  That characterization does not determine the
-    action on the diagonal blocks of the extended space, so the block
-    matrices are assembled as the inner-product adjoint of the
-    annihilation part -- the unique extension for which the two parts
-    pair against each other exactly, at every level of the truncation.
-    (Wherever no diagonal promotion into an already occupied part can
-    occur, which covers all images up to level three, the adjoint
-    coincides with the symmetrized tensor product on embedded symmetric
-    tensors.)
+    action on the diagonal blocks of the extended space, so the entries
+    are assembled as the inner-product adjoint of the annihilation part
+    -- the unique extension for which the two parts pair against each
+    other exactly, at every level of the truncation.  (Wherever no
+    diagonal promotion into an already occupied part can occur, which
+    covers all images up to level three, the adjoint coincides with the
+    symmetrized tensor product on embedded symmetric tensors.)
     """
     _check_phi(phi, space)
-    return FieldOperator(
-        "creation", space, phi, _adjoint_blocks(annihilation(phi, space).blocks, space)
-    )
+    return _adjoint(annihilation(phi, space))
 
 
 def neutral(phi: TestFunction, space: FockSpace) -> FieldOperator:
-    """Neutral part: block-diagonal multiplication.
+    """Neutral part: diagonal multiplication.
 
     Each representative is scaled by the sum, over part sizes present in
     its block, of the diagonal recurrence coefficient of that size times
@@ -167,19 +150,18 @@ def neutral(phi: TestFunction, space: FockSpace) -> FieldOperator:
     """
     _check_phi(phi, space)
     a = space.table.a
-    blocks: dict[tuple[BlockKey, BlockKey], np.ndarray] = {}
-    for level in range(space.depth + 1):
-        for alpha in space.blocks(level):
-            basis = space.basis(alpha)
-            diag = np.zeros(basis.dim)
-            for yi, y in enumerate(basis.reps):
-                total = 0.0
-                for k, _mult in alpha.parts():
-                    start, stop = basis.offsets[k - 1]
-                    total += a[k - 1] * math.fsum(phi[p] for p in y[start:stop])
-                diag[yi] = total
-            blocks[((level, alpha), (level, alpha))] = np.diag(diag)
-    return FieldOperator("neutral", space, phi, blocks)
+    diag = np.empty(space.dim)
+    for level, alpha in space.block_keys():
+        basis = space.basis(alpha)
+        start = space.block_slice(level, alpha).start
+        for yi, y in enumerate(basis.reps):
+            total = 0.0
+            for k, _mult in alpha.parts():
+                lo, hi = basis.offsets[k - 1]
+                total += a[k - 1] * math.fsum(phi[p] for p in y[lo:hi])
+            diag[start + yi] = total
+    positions = np.arange(space.dim)
+    return FieldOperator("neutral", space, phi, positions, positions, diag)
 
 
 def annihilation(phi: TestFunction, space: FockSpace) -> FieldOperator:
@@ -200,28 +182,30 @@ def annihilation(phi: TestFunction, space: FockSpace) -> FieldOperator:
     embedded pairs (exact at every level for a Meixner-class table);
     the resident reading breaks both while leaving low-order vacuum
     moments intact.  The within-block symmetrization reduces to a plain
-    sum over the positions the promoted coordinate can come from.
+    sum over the positions the promoted coordinate can come from, so one
+    entry may collect several contributions; they are summed in loop
+    order.
     """
     _check_phi(phi, space)
     b = space.table.b
     mass = space.mass
     sigma = space.grid.weights
-    blocks: dict[tuple[BlockKey, BlockKey], np.ndarray] = {}
-    for src_level in range(1, space.depth + 1):
-        n = src_level
-        dst_level = n - 1
-        for dst_alpha in space.blocks(dst_level):
+    entries: dict[tuple[int, int], float] = {}
+    for n in range(1, space.depth + 1):
+        for dst_alpha in space.blocks(n - 1):
             dst_basis = space.basis(dst_alpha)
+            dst_start = space.block_slice(n - 1, dst_alpha).start
 
             src_alpha = dst_alpha.raised(1)
+            src_start = space.block_slice(n, src_alpha).start
             src_index = space.basis(src_alpha).index
-            mat = _matrix(blocks, (src_level, src_alpha), (dst_level, dst_alpha), space)
             for yi, y in enumerate(dst_basis.reps):
                 segs = _segments_upto(dst_basis, y, 1)
                 for i in range(space.grid.size):
                     newsegs = list(segs)
                     newsegs[0] = _insert_sorted(segs[0], i)
-                    mat[yi, src_index[_flatten(newsegs)]] += n * mass * sigma[i] * phi[i]
+                    key = (dst_start + yi, src_start + src_index[_flatten(newsegs)])
+                    entries[key] = entries.get(key, 0.0) + n * mass * sigma[i] * phi[i]
 
             for k in range(2, dst_alpha.max_part + 2):
                 if dst_alpha.count(k - 1) == 0:
@@ -229,8 +213,8 @@ def annihilation(phi: TestFunction, space: FockSpace) -> FieldOperator:
                 src_alpha = dst_alpha.lowered(k - 1).raised(k)
                 if src_alpha.max_part > space.max_part:
                     continue  # beyond an exhausted table: exactly zero weight
+                src_start = space.block_slice(n, src_alpha).start
                 src_index = space.basis(src_alpha).index
-                mat = _matrix(blocks, (src_level, src_alpha), (dst_level, dst_alpha), space)
                 base = (n / k) * b[k - 1]
                 qstart, qstop = dst_basis.offsets[k - 2]
                 for yi, y in enumerate(dst_basis.reps):
@@ -240,22 +224,29 @@ def annihilation(phi: TestFunction, space: FockSpace) -> FieldOperator:
                         newsegs = list(segs)
                         newsegs[k - 2] = _without(segs[k - 2], qpos - qstart)
                         newsegs[k - 1] = _insert_sorted(segs[k - 1], qval)
-                        mat[yi, src_index[_flatten(newsegs)]] += base * phi[qval]
-    return FieldOperator("annihilation", space, phi, blocks)
+                        key = (dst_start + yi, src_start + src_index[_flatten(newsegs)])
+                        entries[key] = entries.get(key, 0.0) + base * phi[qval]
+    positions = np.array(list(entries), dtype=np.intp).reshape(-1, 2)
+    vals = np.fromiter(entries.values(), dtype=float, count=len(entries))
+    return FieldOperator("annihilation", space, phi, positions[:, 0], positions[:, 1], vals)
 
 
 def full(phi: TestFunction, space: FockSpace) -> FieldOperator:
-    """Blockwise sum of the creation, neutral, and annihilation parts."""
+    """Sum of the creation, neutral, and annihilation parts.
+
+    The parts map level n to n + 1, n and n - 1, so they share no
+    (row, column) pair and their triplets simply concatenate.
+    """
     minus = annihilation(phi, space)
-    plus_blocks = _adjoint_blocks(minus.blocks, space)
-    blocks: dict[tuple[BlockKey, BlockKey], np.ndarray] = {}
-    for part_blocks in (plus_blocks, neutral(phi, space).blocks, minus.blocks):
-        for key, mat in part_blocks.items():
-            if key in blocks:
-                blocks[key] = blocks[key] + mat
-            else:
-                blocks[key] = mat.copy()
-    return FieldOperator("full", space, phi, blocks)
+    parts = (_adjoint(minus), neutral(phi, space), minus)
+    return FieldOperator(
+        "full",
+        space,
+        phi,
+        np.concatenate([part.rows for part in parts]),
+        np.concatenate([part.cols for part in parts]),
+        np.concatenate([part.vals for part in parts]),
+    )
 
 
 def vacuum_moments(phi: TestFunction, space: FockSpace, k_max: int) -> list[float]:
@@ -272,51 +263,54 @@ def vacuum_moments(phi: TestFunction, space: FockSpace, k_max: int) -> list[floa
             f"have {space.depth}"
         )
     op = full(phi, space)
-    vacuum_key = (0, MultiIndex(()))
     v = space.vacuum()
     out = [1.0]
     for _ in range(k_max):
         v = op.apply(v)
-        out.append(float(v.data[vacuum_key][0]))
+        out.append(float(v.values[0]))
     return out
 
 
-def vacuum_moment(phi: TestFunction, space: FockSpace, k: int) -> float:
-    """Vacuum expectation of the ``k``-th operator power."""
-    return vacuum_moments(phi, space, k)[k]
+def _below_top(space: FockSpace) -> int:
+    """Number of flat positions strictly below the truncation level."""
+    return space.block_slice(space.depth, space.blocks(space.depth)[0]).start
 
 
-def _pairing(space: FockSpace, w: ExtendedFockVector, n: int, alpha: MultiIndex, i: int) -> float:
-    """Full-space inner product of ``w`` with the basis vector at (n, alpha, i)."""
-    return (
-        math.factorial(n)
-        * space.weight(n, alpha)
-        * space.basis(alpha).weight[i]
-        * float(w.data[(n, alpha)][i])
+def _pairing_weights(space: FockSpace) -> np.ndarray:
+    """Full-space inner product of each flat basis vector with itself."""
+    level, rep = space.flat_weights()
+    return level * rep
+
+
+def _scaled_gap(keys_a, vals_a, keys_b, vals_b) -> float:
+    """Largest entry of |A - B| over the largest entry of |A| or |B|.
+
+    A and B are sparse, given as distinct keys and their values.
+    """
+    keys, slot = np.unique(np.concatenate([keys_a, keys_b]), return_inverse=True)
+    gap = np.bincount(slot, np.concatenate([vals_a, -vals_b]), minlength=len(keys))
+    scale = max(
+        float(np.max(np.abs(vals_a), initial=0.0)),
+        float(np.max(np.abs(vals_b), initial=0.0)),
+        1e-300,
     )
+    return float(np.max(np.abs(gap), initial=0.0)) / scale
 
 
 def symmetry_defect(op: FieldOperator) -> float:
     """Largest scaled asymmetry of the operator's pairing matrix.
 
-    Pairings are taken over all basis vectors strictly below the
-    truncation level, where no creation image is dropped, so a symmetric
-    operator must give a symmetric matrix up to round-off.
+    The pairing of the image of basis vector c with basis vector r is the
+    entry (r, c) times the pairing weight of r.  Pairings are taken over
+    all basis vectors strictly below the truncation level, where no
+    creation image is dropped, so a symmetric operator must give a
+    symmetric matrix up to round-off.
     """
-    space = op.space
-    keys = [
-        (n, alpha, i)
-        for n, alpha, i in space.enumerate_basis()
-        if n <= space.depth - 1
-    ]
-    if not keys:
-        return 0.0
-    images = [op.apply(space.basis_vector(*key)) for key in keys]
-    pairing = np.array(
-        [[_pairing(space, image, *key) for key in keys] for image in images]
-    )
-    scale = max(float(np.max(np.abs(pairing))), 1e-300)
-    return float(np.max(np.abs(pairing - pairing.T))) / scale
+    low = _below_top(op.space)
+    inside = (op.rows < low) & (op.cols < low)
+    rows, cols = op.rows[inside], op.cols[inside]
+    pairing = _pairing_weights(op.space)[rows] * op.vals[inside]
+    return _scaled_gap(cols * low + rows, pairing, rows * low + cols, pairing)
 
 
 def adjoint_defect(plus: FieldOperator, minus: FieldOperator) -> float:
@@ -329,24 +323,16 @@ def adjoint_defect(plus: FieldOperator, minus: FieldOperator) -> float:
     space = plus.space
     if minus.space is not space and not space.compatible(minus.space):
         raise ValueError("operators live in different spaces")
-    low = [
-        (n, alpha, i)
-        for n, alpha, i in space.enumerate_basis()
-        if n <= space.depth - 1
-    ]
-    all_keys = space.enumerate_basis()
-    if not low:
-        return 0.0
-    plus_images = [plus.apply(space.basis_vector(*key)) for key in low]
-    minus_images = [minus.apply(space.basis_vector(*key)) for key in all_keys]
-    raised = np.array(
-        [[_pairing(space, image, *key) for key in all_keys] for image in plus_images]
+    low, dim = _below_top(space), space.dim
+    weights = _pairing_weights(space)
+    up = plus.cols < low
+    down = minus.rows < low
+    return _scaled_gap(
+        plus.cols[up] * dim + plus.rows[up],
+        weights[plus.rows[up]] * plus.vals[up],
+        minus.rows[down] * dim + minus.cols[down],
+        weights[minus.rows[down]] * minus.vals[down],
     )
-    lowered = np.array(
-        [[_pairing(space, image, *key) for key in low] for image in minus_images]
-    ).T
-    scale = max(float(np.max(np.abs(raised))), float(np.max(np.abs(lowered))), 1e-300)
-    return float(np.max(np.abs(raised - lowered))) / scale
 
 
 def measure_hash(measure: JumpMeasure) -> str:
@@ -362,14 +348,10 @@ def export_lines(op: FieldOperator) -> list[str]:
 
     Block indices and representative tuples are written as their
     positions in the canonical enumerations; the header records every
-    ingredient needed to rebuild the space.
+    ingredient needed to rebuild the space.  Entries are ordered by
+    source block, target block, source position, target position.
     """
     space = op.space
-    alpha_index = {
-        (n, alpha): j
-        for n in range(space.depth + 1)
-        for j, alpha in enumerate(space.blocks(n))
-    }
     lines = [
         "# levyfock operator export",
         f"# kind {op.kind}",
@@ -381,18 +363,18 @@ def export_lines(op: FieldOperator) -> list[str]:
         f"# phi {' '.join(f'{v:.17g}' for v in op.phi.values)}",
         "# columns: src_level src_alpha src_tuple dst_level dst_alpha dst_tuple value",
     ]
-    ordered = sorted(
-        op.blocks,
-        key=lambda pair: (pair[0][0], alpha_index[pair[0]], pair[1][0], alpha_index[pair[1]]),
-    )
-    for src, dst in ordered:
-        mat = op.blocks[(src, dst)]
-        for si in range(mat.shape[1]):
-            for di in range(mat.shape[0]):
-                value = mat[di, si]
-                if value != 0.0:
-                    lines.append(
-                        f"{src[0]} {alpha_index[src]} {si} "
-                        f"{dst[0]} {alpha_index[dst]} {di} {value:.17g}"
-                    )
+    keys = space.block_keys()
+    labels = [f"{n} {j}" for n in range(space.depth + 1) for j in range(len(space.blocks(n)))]
+    starts = np.array([space.block_slice(*key).start for key in keys])
+    block = np.repeat(np.arange(len(keys)), np.diff(starts, append=space.dim))
+    src, dst = block[op.cols], block[op.rows]
+    order = np.lexsort((op.rows, op.cols, dst, src))
+    for s, si, d, di, value in zip(
+        src[order].tolist(),
+        (op.cols - starts[src])[order].tolist(),
+        dst[order].tolist(),
+        (op.rows - starts[dst])[order].tolist(),
+        op.vals[order].tolist(),
+    ):
+        lines.append(f"{labels[s]} {si} {labels[d]} {di} {value:.17g}")
     return lines

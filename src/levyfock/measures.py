@@ -49,6 +49,8 @@ class JumpMeasure:
         object.__setattr__(self, "weights", wts)
         if not locs:
             raise ValueError("jump measure needs at least one atom")
+        if not all(math.isfinite(v) for v in locs + wts):
+            raise ValueError("atom locations and weights must be finite")
         if len(locs) != len(wts):
             raise ValueError("locations and weights differ in length")
         if any(s == 0.0 for s in locs):
@@ -103,6 +105,8 @@ class GridSpace:
         object.__setattr__(self, "weights", wts)
         if not wts:
             raise ValueError("grid needs at least one point")
+        if not all(math.isfinite(w) for w in wts):
+            raise ValueError("grid weights must be finite")
         if any(w <= 0.0 for w in wts):
             raise ValueError("grid weights must be strictly positive")
         pts = self.points or tuple(f"x{i}" for i in range(len(wts)))
@@ -129,6 +133,8 @@ class TestFunction:
         object.__setattr__(self, "values", vals)
         if len(vals) != self.grid.size:
             raise ValueError("test function length must equal grid size")
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError("test function values must be finite")
 
     @classmethod
     def constant(cls, grid: GridSpace, value: float = 1.0) -> TestFunction:
@@ -136,9 +142,6 @@ class TestFunction:
 
     def __getitem__(self, i: int) -> float:
         return self.values[i]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
 
 
 def gauss_laguerre_gamma(order: int) -> JumpMeasure:

@@ -115,7 +115,6 @@ def meixner_neutral(phi: TestFunction, f: SymmetricTensor, lam: float) -> Symmet
 def meixner_annihilation(
     phi: TestFunction,
     f: SymmetricTensor,
-    lam: float,
     kappa: float,
     mass: float,
 ) -> SymmetricTensor:
@@ -124,11 +123,8 @@ def meixner_annihilation(
     Sum of the grid contraction (level times total mass times the
     weighted average of the test function against the first coordinate)
     and the symmetrized diagonal term with coefficient ``kappa`` times
-    level times (level - 1); the latter vanishes at level one.  The
-    ``lam`` parameter is unused but kept in the signature so both closed
-    forms share a calling convention.
+    level times (level - 1); the latter vanishes at level one.
     """
-    del lam
     if phi.grid != f.grid:
         raise ValueError("grid mismatch")
     n = f.level

@@ -163,6 +163,17 @@ def chaos_inner_product(
             for eb, vb in cb.items()
         )
 
+    def lower_moments(coeffs: dict) -> np.ndarray:
+        return np.array(
+            [
+                math.fsum(
+                    v * model.joint_moment(tuple(x + y for x, y in zip(ea, e)))
+                    for e, v in coeffs.items()
+                )
+                for ea in lower
+            ]
+        )
+
     expectation = raw_product(coeff_f, coeff_g)
     if lower:
         gram = np.array(
@@ -180,24 +191,6 @@ def chaos_inner_product(
                 f"chaos oracle gram matrix ill-conditioned (cond ~ {cond:.3e}); "
                 "refusing to project"
             )
-        rhs_f = np.array(
-            [
-                math.fsum(
-                    v * model.joint_moment(tuple(x + y for x, y in zip(ea, e)))
-                    for e, v in coeff_f.items()
-                )
-                for ea in lower
-            ]
-        )
-        rhs_g = np.array(
-            [
-                math.fsum(
-                    v * model.joint_moment(tuple(x + y for x, y in zip(ea, e)))
-                    for e, v in coeff_g.items()
-                )
-                for ea in lower
-            ]
-        )
-        projection = np.linalg.solve(gram, rhs_f)
-        expectation -= float(np.dot(projection, rhs_g))
+        projection = np.linalg.solve(gram, lower_moments(coeff_f))
+        expectation -= float(np.dot(projection, lower_moments(coeff_g)))
     return expectation / math.factorial(level)

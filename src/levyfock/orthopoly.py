@@ -8,6 +8,7 @@ ill-conditioned past degree eight or so in double precision.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,8 @@ class RecurrenceTable:
             raise ValueError("recurrence table must have depth at least 1")
         if len(b) != len(a) or len(ns) != len(a):
             raise ValueError("a, b, norm_sq must share one length")
+        if not all(math.isfinite(v) for v in a + b + ns):
+            raise ValueError("recurrence coefficients must be finite")
         if b[0] != 0.0:
             raise ValueError("b[0] is a placeholder and must be zero")
         if any(v <= 0.0 for v in b[1:]):

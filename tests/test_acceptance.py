@@ -166,24 +166,17 @@ def test_criterion_5_meixner_closed_forms():
 
                 got = op_neutral.apply(embedded)
                 want = space.embed_symmetric(meixner_neutral(phi, f, lam))
-                scale = max(1.0, max(np.abs(v).max() for v in want.data.values()))
+                scale = max(1.0, np.abs(want.values).max())
                 for alpha in space.blocks(n):
-                    assert (
-                        np.abs(got.data[(n, alpha)] - want.data[(n, alpha)]).max()
-                        <= 1e-8 * scale
-                    )
+                    assert np.abs(got[n, alpha] - want[n, alpha]).max() <= 1e-8 * scale
 
                 if n >= 1:
                     got = op_minus.apply(embedded)
-                    want = space.embed_symmetric(
-                        meixner_annihilation(phi, f, lam, kappa, mass)
-                    )
-                    scale = max(1.0, max(np.abs(v).max() for v in want.data.values()))
+                    want = space.embed_symmetric(meixner_annihilation(phi, f, kappa, mass))
+                    scale = max(1.0, np.abs(want.values).max())
                     for alpha in space.blocks(n - 1):
                         assert (
-                            np.abs(
-                                got.data[(n - 1, alpha)] - want.data[(n - 1, alpha)]
-                            ).max()
+                            np.abs(got[n - 1, alpha] - want[n - 1, alpha]).max()
                             <= 1e-8 * scale
                         )
     print("\nACCEPTANCE 5 meixner closed forms: PASS")

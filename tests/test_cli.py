@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
 import pytest
 
+from levyfock import cli
 from levyfock.cli import load_config, main, parse_config_text
 
 NU2_CFG = """\
@@ -213,6 +215,67 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+# Two grid points: blocks hold several representatives, so the export's
+# entry order within a block pair is visible.
+TWO_POINT_CFG = (
+    NU2_CFG.replace("weights 2.0", "weights 0.8 1.4")
+    .replace("values 1.0", "values 0.9 -0.4")
+    .replace("depth 6\nmax_moment 6", "depth 4")
+)
+
+# sha256 of each report under --json, recorded once from the dense-block
+# implementation; a storage or summation-order change must reproduce them.
+PINNED_REPORTS = [
+    (
+        "verify-moments",
+        NU2_CFG + "check_symmetry 1\n",
+        "1a8fc43070d7f34b38587d5edca34b009b22fb61dabd6dd2fa549da7929a30a3",
+    ),
+    (
+        "verify-moments",
+        GAMMA_CFG,
+        "0e82d2657630c13a30b0a556028f078810576d624bf849fac2d622f59a310113",
+    ),
+    (
+        "export-operator",
+        NU2_CFG,
+        "2bfb7ee4342e6edb466552056a55065b6c339e88bbccc3e6500d49864a18c631",
+    ),
+    (
+        "export-operator",
+        TWO_POINT_CFG,
+        "3963368f659c59f4e8004159e63d106f943bcf49c47cbdc28bdb333046c5a52a",
+    ),
+    (
+        "oracle-check",
+        NU2_CFG,
+        "e9fe548993018cd71b8c6be00cf514a16caf3317467647d19aebef4d8f739a97",
+    ),
+    (
+        "recurrence",
+        GAMMA_CFG,
+        "a6857bfde57a517b40be96d1509f79e5feb707bf722f048ea0929ae014f343c0",
+    ),
+    (
+        "classify",
+        GAMMA_CFG,
+        "5f4fc8f1c0a78f1b2ac01af149bcc04be21e981da30563b68a5957332eb1d682",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command,cfg,digest",
+    PINNED_REPORTS,
+    ids=[f"{command}-{i}" for i, (command, _, _) in enumerate(PINNED_REPORTS)],
+)
+def test_report_bytes_pinned(tmp_path, command, cfg, digest):
+    cfg_path = write(tmp_path, "run.cfg", cfg)
+    out = tmp_path / "report.txt"
+    assert main([command, "--config", cfg_path, "--json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_tolerance_override(tmp_path, capsys):
     path = write(tmp_path, "nu2.cfg", NU2_CFG)
     # an absurdly tight tolerance cannot fail an exact comparison of zeros
@@ -223,3 +286,59 @@ def test_tolerance_override(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify-moments", "--config", path, "--tol", "0.5"]) == 0
     capsys.readouterr()
+
+
+class TestNonFiniteRejected:
+    """Non-finite numbers exit 2 instead of reaching a verdict."""
+
+    FAULTED = NU2_CFG + "fault_b1 1.5\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_tol_flag(self, tmp_path, capsys, tol):
+        path = write(tmp_path, "fault.cfg", self.FAULTED)
+        assert main(["verify-moments", "--config", path, "--tol", tol]) == 2
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_tolerance_key(self, tmp_path, capsys):
+        path = write(tmp_path, "fault.cfg", self.FAULTED + "tolerance nan\n")
+        assert main(["verify-moments", "--config", path]) == 2
+        assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("values 1.0", "values nan"),
+            ("weights 0.5 0.5", "weights 0.5 nan"),
+            ("locations -1 1", "locations -1 inf"),
+            ("weights 2.0", "weights inf"),
+        ],
+    )
+    def test_inputs(self, tmp_path, capsys, old, new):
+        path = write(tmp_path, "bad.cfg", NU2_CFG.replace(old, new))
+        assert main(["verify-moments", "--config", path]) == 2
+        assert "finite" in capsys.readouterr().err
+
+
+class TestNanVerdicts:
+    """A number that cannot be compared with the tolerance fails the check."""
+
+    def test_nan_moment_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "vacuum_moments", lambda phi, space, k: [math.nan] * (k + 1))
+        path = write(tmp_path, "nu2.cfg", NU2_CFG)
+        assert main(["verify-moments", "--config", path]) == 1
+        assert "status fail" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["adjoint_defect", "symmetry_defect"])
+    def test_nan_defect_fails(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.setattr(cli, name, lambda *ops: math.nan)
+        path = write(tmp_path, "sym.cfg", NU2_CFG + "check_symmetry 1\n")
+        assert main(["verify-moments", "--config", path]) == 1
+        assert "status fail" in capsys.readouterr().out
+
+    def test_nan_oracle_error_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "chaos_inner_product", lambda f, g, model, n: math.nan)
+        path = write(tmp_path, "nu2.cfg", NU2_CFG)
+        assert main(["oracle-check", "--config", path]) == 1
+        out = capsys.readouterr().out
+        assert "max-rel-error nan" in out
+        assert "status fail" in out

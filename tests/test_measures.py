@@ -116,3 +116,23 @@ class TestGridAndTestFunction:
     def test_constant(self, g1):
         phi = TestFunction.constant(g1, 3.0)
         assert phi[0] == 3.0
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "locations,weights",
+        [((-1.0, math.inf), (0.5, 0.5)), ((-1.0, 1.0), (0.5, math.nan))],
+    )
+    def test_measure_rejects_non_finite(self, locations, weights):
+        with pytest.raises(ValueError, match="finite"):
+            JumpMeasure(locations, weights)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_grid_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpace((1.0, value))
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_function_rejects_non_finite(self, g1, value):
+        with pytest.raises(ValueError, match="finite"):
+            TestFunction(g1, (value,))

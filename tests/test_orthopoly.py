@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from levyfock import JumpMeasure, stieltjes
+from levyfock import JumpMeasure, RecurrenceTable, stieltjes
 
 from conftest import random_measure
 
@@ -158,3 +159,11 @@ def test_fault_injection_rebuilds_chain(gamma_table):
         assert faulted.norm_sq[n] == pytest.approx(chain, rel=1e-12)
     with pytest.raises(ValueError):
         gamma_table.with_scaled_b(0, 1.1)
+
+
+@pytest.mark.parametrize("field", ["a", "b", "norm_sq"])
+def test_table_rejects_non_finite(field):
+    rows = {"a": [0.0, 1.0], "b": [0.0, 1.0], "norm_sq": [1.0, 1.0]}
+    rows[field][1] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        RecurrenceTable(rows["a"], rows["b"], rows["norm_sq"])
