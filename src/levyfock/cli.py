@@ -199,6 +199,8 @@ def load_config(path: str) -> RunConfig:
     oracle_levels = int(_scalar(run, "oracle_levels", "run", default=str(min(2, depth))))
     if oracle_levels < 0:
         raise ValueError("oracle_levels must be nonnegative")
+    if oracle_levels > depth:
+        raise ValueError(f"oracle_levels {oracle_levels} exceeds depth {depth}")
     fault_b1 = float(_scalar(run, "fault_b1", "run", default="1"))
     if fault_b1 <= 0.0:
         raise ValueError("fault_b1 scale must be positive")
@@ -347,16 +349,12 @@ def cmd_oracle_check(cfg: RunConfig, report: Report) -> int:
     for n in range(cfg.oracle_levels + 1):
         basis = symmetric_basis(n, grid)
         errors = []
-        embedded = [
-            space.embed_symmetric(SymmetricTensor.basis_element(grid, n, i))
-            for i in range(basis.dim)
-        ]
+        tensors = [SymmetricTensor.basis_element(grid, n, i) for i in range(basis.dim)]
+        embedded = [space.embed_symmetric(f) for f in tensors]
         for i in range(basis.dim):
-            fi = SymmetricTensor.basis_element(grid, n, i)
             for j in range(i, basis.dim):
-                fj = SymmetricTensor.basis_element(grid, n, j)
                 block_value = level_inner_product(embedded[i], embedded[j], n)
-                oracle_value = chaos_inner_product(fi, fj, model, n)
+                oracle_value = chaos_inner_product(tensors[i], tensors[j], model, n)
                 err = abs(block_value - oracle_value) / max(1.0, abs(oracle_value))
                 errors.append(err)
                 pairs += 1

@@ -50,8 +50,9 @@ class CumulantModel:
 
     Grid coordinates are independent; coordinate ``i`` has cumulants
     ``kappa[p] = sigma_i * levy_moment(p)`` for ``p >= 2`` and zero mean.
-    Joint moments are memoized per model instance (the oracle re-queries
-    heavily overlapping exponent vectors); the cache is only ever grown,
+    Joint moments, moments of monomial pairs and the oracle's per-level
+    Gram matrices are memoized per model instance (the oracle re-queries
+    heavily overlapping exponent vectors); each cache is only ever grown,
     one atomic assignment per entry.
     """
 
@@ -60,6 +61,8 @@ class CumulantModel:
         self.grid = grid
         self._point_moments: dict[tuple[int, int], list[float]] = {}
         self._joint: dict[tuple[int, ...], float] = {}
+        self._pair: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
+        self._lower: dict[int, tuple[list[tuple[int, ...]], np.ndarray, float]] = {}
 
     def cumulant(self, phi: TestFunction, p: int) -> float:
         """Cumulant of order ``p`` of the pairing of the noise with ``phi``."""
@@ -103,6 +106,32 @@ class CumulantModel:
             self._joint[exps] = value
         return self._joint[exps]
 
+    def _pair_moment(self, ea: tuple[int, ...], eb: tuple[int, ...]) -> float:
+        """Expectation of the product of the monomials with exponents ``ea`` and ``eb``."""
+        key = (ea, eb)
+        value = self._pair.get(key)
+        if value is None:
+            value = self.joint_moment(tuple(x + y for x, y in zip(ea, eb)))
+            self._pair[key] = value
+        return value
+
+    def _lower_gram(self, level: int) -> tuple[list[tuple[int, ...]], np.ndarray, float]:
+        """Monomials of degree below ``level``, their Gram matrix and its condition number.
+
+        Built once per level; the Gram entries are read straight from
+        :meth:`joint_moment`, since no other query reuses those pairs.
+        """
+        if level not in self._lower:
+            lower = _monomials_up_to(self.grid.size, level - 1)
+            gram = np.array(
+                [
+                    [self.joint_moment(tuple(x + y for x, y in zip(ea, eb))) for eb in lower]
+                    for ea in lower
+                ]
+            )
+            self._lower[level] = (lower, gram, float(np.linalg.cond(gram)))
+        return self._lower[level]
+
 
 def _monomials_up_to(size: int, degree: int) -> list[tuple[int, ...]]:
     out = []
@@ -120,15 +149,18 @@ def _pairing_coefficients(f: SymmetricTensor) -> dict[tuple[int, ...], float]:
 
     Summing the tensor over all coordinate tuples groups into one monomial
     per sorted tuple, with the arrangement count as combinatorial factor.
+    Monomials whose coefficient is zero are left out.
     """
     basis = symmetric_basis(f.level, f.grid)
     coeffs: dict[tuple[int, ...], float] = {}
     for i, rep in enumerate(basis.reps):
+        value = basis.mult[i] * float(f.values[i])
+        if value == 0.0:
+            continue
         exps = [0] * f.grid.size
         for p in rep:
             exps[p] += 1
-        key = tuple(exps)
-        coeffs[key] = coeffs.get(key, 0.0) + basis.mult[i] * float(f.values[i])
+        coeffs[tuple(exps)] = value
     return coeffs
 
 
@@ -154,43 +186,27 @@ def chaos_inner_product(
 
     coeff_f = _pairing_coefficients(f)
     coeff_g = _pairing_coefficients(g)
-    lower = _monomials_up_to(size, level - 1) if level > 0 else []
-
-    def raw_product(ca: dict, cb: dict) -> float:
-        return math.fsum(
-            va * vb * model.joint_moment(tuple(x + y for x, y in zip(ea, eb)))
-            for ea, va in ca.items()
-            for eb, vb in cb.items()
-        )
-
-    def lower_moments(coeffs: dict) -> np.ndarray:
-        return np.array(
-            [
-                math.fsum(
-                    v * model.joint_moment(tuple(x + y for x, y in zip(ea, e)))
-                    for e, v in coeffs.items()
-                )
-                for ea in lower
-            ]
-        )
-
-    expectation = raw_product(coeff_f, coeff_g)
-    if lower:
-        gram = np.array(
-            [
-                [
-                    model.joint_moment(tuple(x + y for x, y in zip(ea, eb)))
-                    for eb in lower
-                ]
-                for ea in lower
-            ]
-        )
-        cond = np.linalg.cond(gram)
+    expectation = math.fsum(
+        va * vb * model._pair_moment(ea, eb)
+        for ea, va in coeff_f.items()
+        for eb, vb in coeff_g.items()
+    )
+    if level > 0:
+        lower, gram, cond = model._lower_gram(level)
         if not np.isfinite(cond) or cond > _ORACLE_COND_LIMIT:
             raise ValueError(
                 f"chaos oracle gram matrix ill-conditioned (cond ~ {cond:.3e}); "
                 "refusing to project"
             )
+
+        def lower_moments(coeffs: dict) -> np.ndarray:
+            return np.array(
+                [
+                    math.fsum(v * model._pair_moment(ea, e) for e, v in coeffs.items())
+                    for ea in lower
+                ]
+            )
+
         projection = np.linalg.solve(gram, lower_moments(coeff_f))
         expectation -= float(np.dot(projection, lower_moments(coeff_g)))
     return expectation / math.factorial(level)

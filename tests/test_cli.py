@@ -191,6 +191,12 @@ class TestOracleCheckCommand:
         assert main(["oracle-check", "--config", path]) == 0
         assert "status pass" in capsys.readouterr().out
 
+    def test_levels_past_depth_exit_2(self, tmp_path, capsys):
+        cfg = NU2_CFG.replace("depth 6\nmax_moment 6", "depth 2") + "oracle_levels 3\n"
+        path = write(tmp_path, "nu2.cfg", cfg)
+        assert main(["oracle-check", "--config", path]) == 2
+        assert "oracle_levels 3 exceeds depth 2" in capsys.readouterr().err
+
 
 class TestExportCommand:
     def test_writes_header_and_entries(self, tmp_path):
@@ -223,8 +229,28 @@ TWO_POINT_CFG = (
     .replace("depth 6\nmax_moment 6", "depth 4")
 )
 
+# Three grid points and an asymmetric three-atom measure: the oracle's lower
+# basis holds several monomials per degree, which one grid point never shows.
+MULTI_POINT_CFG = """\
+[measure]
+type inline
+locations -1 0.5 2
+weights 0.6 0.9 0.4
+
+[grid]
+weights 0.7 1.1 1.3
+
+[phi]
+values 0.9 -0.4 1.2
+
+[run]
+depth 2
+oracle_levels 2
+"""
+
 # sha256 of each report under --json, recorded once from the dense-block
-# implementation; a storage or summation-order change must reproduce them.
+# implementation (the multi-point oracle report from the per-pair Gram
+# implementation); a storage or summation-order change must reproduce them.
 PINNED_REPORTS = [
     (
         "verify-moments",
@@ -260,6 +286,11 @@ PINNED_REPORTS = [
         "classify",
         GAMMA_CFG,
         "5f4fc8f1c0a78f1b2ac01af149bcc04be21e981da30563b68a5957332eb1d682",
+    ),
+    (
+        "oracle-check",
+        MULTI_POINT_CFG,
+        "0f3948f0538648cc0dd3f41ce86fba38e7a1065f99342579728180792a61f8e1",
     ),
 ]
 

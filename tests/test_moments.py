@@ -228,3 +228,30 @@ class TestChaosOracle:
         f = SymmetricTensor.from_function(grid, 2, lambda r: 1.0)
         with pytest.raises(ValueError, match="ill-conditioned"):
             chaos_inner_product(f, f, model, 2)
+        # the level's Gram matrix is kept on the model; a second call must
+        # still refuse
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            chaos_inner_product(f, f, model, 2)
+
+    def test_models_on_one_grid_keep_their_own_moments(self, nu2, nup):
+        # two measures on the same grid, queried alternately: each model must
+        # return what a fresh model of its own measure returns, bit for bit,
+        # and what the independent Wick projection gives (a cache shared
+        # between models would corrupt the fresh model's answer as well)
+        grid = GridSpace((0.7, 1.1, 1.3))
+        models = [CumulantModel(nu2, grid), CumulantModel(nup, grid)]
+        for n in range(3):
+            dim = symmetric_basis(n, grid).dim
+            tensors = [SymmetricTensor.basis_element(grid, n, i) for i in range(dim)]
+            for i in range(dim):
+                for j in range(i, dim):
+                    for model in models:
+                        fresh = CumulantModel(model.measure, grid)
+                        got = chaos_inner_product(tensors[i], tensors[j], model, n)
+                        assert got == chaos_inner_product(tensors[i], tensors[j], fresh, n)
+                        wick = poly_product(
+                            wick_coefficients(tensors[i], fresh),
+                            wick_coefficients(tensors[j], fresh),
+                        )
+                        want = poly_expectation(wick, fresh) / math.factorial(n)
+                        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
