@@ -92,9 +92,10 @@ class RunConfig:
     """Validated run configuration.
 
     ``depth`` is the workhorse truncation: the recurrence-table depth for
-    table-level commands, the operator truncation for moment and export
-    pipelines (where the table depth is capped at the atom count, with
-    exhausted-measure semantics taking over past it).
+    table-level commands, the operator truncation for export, the oracle
+    and the defect checks (where the table depth is capped at the atom
+    count, with exhausted-measure semantics taking over past it), and the
+    cap on ``max_moment``, whose moments need only depth ``max_moment // 2``.
     """
 
     measure_type: str
@@ -192,8 +193,8 @@ def load_config(path: str) -> RunConfig:
         raise ValueError("max_moment must be nonnegative")
     if max_moment > depth:
         raise ValueError(
-            f"max_moment {max_moment} exceeds depth {depth}: moments past the "
-            "truncation would be polluted"
+            f"max_moment {max_moment} exceeds depth {depth}: raise depth to "
+            "query higher moments"
         )
     tolerance = _tolerance(float(_scalar(run, "tolerance", "run", default="1e-8")))
     oracle_levels = int(_scalar(run, "oracle_levels", "run", default=str(min(2, depth))))
@@ -245,19 +246,28 @@ def cmd_recurrence(cfg: RunConfig, report: Report) -> int:
     return 0
 
 
-def _operator_space(cfg: RunConfig):
+def _operator_space(cfg: RunConfig, depth: int):
+    """Measure, grid, test function and a truncation of the given depth.
+
+    The recurrence table follows ``cfg.depth`` whatever the truncation
+    depth, so every space built from one configuration shares it.
+    """
     measure = cfg.measure()
     grid = cfg.grid()
     phi = cfg.phi(grid)
     table_depth = min(cfg.depth, measure.atom_count)
     table = cfg.table(measure, table_depth)
-    space = FockSpace(grid, measure, table, cfg.depth)
+    space = FockSpace(grid, measure, table, depth)
     return measure, grid, phi, space
 
 
 def cmd_verify_moments(cfg: RunConfig, report: Report) -> int:
-    """Vacuum moments of the assembled operator against the cumulant recursion."""
-    measure, grid, phi, space = _operator_space(cfg)
+    """Vacuum moments of the assembled operator against the cumulant recursion.
+
+    The moments need only a truncation of depth ``max_moment // 2`` (see
+    :func:`vacuum_moments`); the defect checks run at the configured depth.
+    """
+    measure, grid, phi, space = _operator_space(cfg, cfg.max_moment // 2)
     operator_side = vacuum_moments(phi, space, cfg.max_moment)
     model = CumulantModel(measure, grid)
     oracle_side = [1.0]
@@ -280,8 +290,9 @@ def cmd_verify_moments(cfg: RunConfig, report: Report) -> int:
             failed.append(k)
     symmetry_bad = False
     if cfg.check_symmetry:
-        pair_defect = adjoint_defect(creation(phi, space), annihilation(phi, space))
-        neutral_defect = symmetry_defect(neutral(phi, space))
+        deep = FockSpace(grid, measure, space.table, cfg.depth)
+        pair_defect = adjoint_defect(creation(phi, deep), annihilation(phi, deep))
+        neutral_defect = symmetry_defect(neutral(phi, deep))
         report.add("adjoint-defect", pair_defect)
         report.add("neutral-symmetry-defect", neutral_defect)
         symmetry_bad = not (pair_defect <= cfg.tolerance and neutral_defect <= cfg.tolerance)
@@ -319,7 +330,7 @@ def cmd_classify(cfg: RunConfig, report: Report) -> int:
 
 def cmd_export_operator(cfg: RunConfig, report: Report) -> int:
     """Write the full operator in the sparse text format."""
-    _measure, _grid, phi, space = _operator_space(cfg)
+    _measure, _grid, phi, space = _operator_space(cfg, cfg.depth)
     operator = full(phi, space)
     for line in export_lines(operator):
         report.raw(line)
@@ -337,7 +348,7 @@ def cmd_oracle_check(cfg: RunConfig, report: Report) -> int:
     cap is therefore two; raise ``oracle_levels`` only within the
     validity domain of the measure at hand.
     """
-    measure, grid, phi, space = _operator_space(cfg)
+    measure, grid, phi, space = _operator_space(cfg, cfg.depth)
     del phi  # inner products do not involve the test function
     model = CumulantModel(measure, grid)
     report.add("command", "oracle-check")

@@ -75,8 +75,7 @@ class FieldOperator:
         """Matrix-vector product; each image entry sums in triplet order.
 
         Creation images out of the top level are dropped: the truncation
-        has no room for them, which is why moment queries insist on a
-        truncation depth at least the moment order.
+        has no room for them.
         """
         if v.space is not self.space and not self.space.compatible(v.space):
             raise ValueError("dimension mismatch: vector space differs from operator space")
@@ -252,22 +251,30 @@ def full(phi: TestFunction, space: FockSpace) -> FieldOperator:
 def vacuum_moments(phi: TestFunction, space: FockSpace, k_max: int) -> list[float]:
     """Vacuum expectations of the operator powers, orders ``0 .. k_max``.
 
-    Requires a truncation depth of at least ``k_max`` so that no dropped
-    creation image can pollute the reported numbers.
+    The operator J is symmetric for the pairing weights (creation is the
+    weighted transpose of annihilation, the neutral part is diagonal), so
+    with ``v_j = J^j Omega`` the moment of order ``2j`` is ``<v_j, v_j>``
+    and that of order ``2j + 1`` is ``<v_j, J v_j>``.  ``v_j`` lives on
+    levels up to ``j``, and the level-``(j + 1)`` part of ``J v_j`` that a
+    depth-``j`` truncation drops pairs with zeros of ``v_j``; a depth of
+    ``k_max // 2`` therefore gives every order exactly.  Each pairing is one
+    ``math.fsum`` over the elementwise products.
     """
     if k_max < 0:
         raise ValueError("moment order must be nonnegative")
-    if k_max > space.depth:
+    if k_max // 2 > space.depth:
         raise ValueError(
-            f"truncation too shallow for exact moment: order {k_max} needs depth >= {k_max}, "
-            f"have {space.depth}"
+            f"truncation too shallow for exact moment: order {k_max} needs depth >= "
+            f"{k_max // 2}, have {space.depth}"
         )
     op = full(phi, space)
+    weights = _pairing_weights(space)
     v = space.vacuum()
-    out = [1.0]
-    for _ in range(k_max):
-        v = op.apply(v)
-        out.append(float(v.values[0]))
+    out = []
+    for k in range(k_max + 1):
+        image = op.apply(v) if k % 2 else v
+        out.append(math.fsum(weights * v.values * image.values))
+        v = image
     return out
 
 

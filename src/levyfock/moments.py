@@ -50,10 +50,11 @@ class CumulantModel:
 
     Grid coordinates are independent; coordinate ``i`` has cumulants
     ``kappa[p] = sigma_i * levy_moment(p)`` for ``p >= 2`` and zero mean.
-    Joint moments, moments of monomial pairs and the oracle's per-level
-    Gram matrices are memoized per model instance (the oracle re-queries
-    heavily overlapping exponent vectors); each cache is only ever grown,
-    one atomic assignment per entry.
+    Joint moments, the oracle's per-level Gram matrices and the moments of
+    (lower monomial, pairing monomial) pairs that its Gram right-hand sides
+    read are memoized per model instance (the oracle re-queries heavily
+    overlapping exponent vectors); each cache is only ever grown, one
+    atomic assignment per entry.
     """
 
     def __init__(self, measure: JumpMeasure, grid: GridSpace):
@@ -187,7 +188,7 @@ def chaos_inner_product(
     coeff_f = _pairing_coefficients(f)
     coeff_g = _pairing_coefficients(g)
     expectation = math.fsum(
-        va * vb * model._pair_moment(ea, eb)
+        va * vb * model.joint_moment(tuple(x + y for x, y in zip(ea, eb)))
         for ea, va in coeff_f.items()
         for eb, vb in coeff_g.items()
     )

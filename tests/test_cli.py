@@ -250,7 +250,9 @@ oracle_levels 2
 
 # sha256 of each report under --json, recorded once from the dense-block
 # implementation (the multi-point oracle report from the per-pair Gram
-# implementation); a storage or summation-order change must reproduce them.
+# implementation; the one-point gamma moments and the two-point moments from
+# the half-depth moment pairing); a storage or summation-order change must
+# reproduce them.
 PINNED_REPORTS = [
     (
         "verify-moments",
@@ -260,7 +262,7 @@ PINNED_REPORTS = [
     (
         "verify-moments",
         GAMMA_CFG,
-        "0e82d2657630c13a30b0a556028f078810576d624bf849fac2d622f59a310113",
+        "22c73395d34ec9f1c1b7a3925b55cc79cd0d3a7d7b65bba700297489b8ba84d1",
     ),
     (
         "export-operator",
@@ -291,6 +293,11 @@ PINNED_REPORTS = [
         "oracle-check",
         MULTI_POINT_CFG,
         "0f3948f0538648cc0dd3f41ce86fba38e7a1065f99342579728180792a61f8e1",
+    ),
+    (
+        "verify-moments",
+        TWO_POINT_CFG + "check_symmetry 1\n",
+        "7369ed5498dbd3a4bd11dd4a7e772f8a6b79a022bffda945159c37682696b04f",
     ),
 ]
 

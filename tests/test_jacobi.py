@@ -403,8 +403,33 @@ class TestVacuumMoments:
         assert moments[6] == pytest.approx(182.0)
 
     def test_truncation_guard(self, nu2_space, g1):
+        phi = TestFunction.constant(g1)
         with pytest.raises(ValueError, match="truncation too shallow"):
-            vacuum_moments(TestFunction.constant(g1), nu2_space, 7)
+            vacuum_moments(phi, nu2_space, 14)
+        assert len(vacuum_moments(phi, nu2_space, 13)) == 14
+
+    @pytest.mark.parametrize("fault", [1.0, 1.5])
+    def test_half_depth_matches_direct_powers(self, fault):
+        # moments read from a depth k // 2 truncation must equal the vacuum
+        # entry of the k-th power applied on a depth-k truncation, also for a
+        # table that belongs to no measure (the identity only needs the
+        # operator to be symmetric for the pairing weights)
+        rng = np.random.default_rng(21)
+        measure = random_measure(rng, 4)
+        grid = GridSpace(tuple(rng.uniform(0.5, 2.0, 3)))
+        phi = TestFunction(grid, tuple(rng.normal(0, 1, 3)))
+        table = stieltjes(measure, 4)
+        if fault != 1.0:
+            table = table.with_scaled_b(1, fault)
+        for k in range(11):
+            deep = FockSpace(grid, measure, table, k)
+            op = full(phi, deep)
+            v = deep.vacuum()
+            for _ in range(k):
+                v = op.apply(v)
+            shallow = FockSpace(grid, measure, table, k // 2)
+            got = vacuum_moments(phi, shallow, k)[k]
+            assert got == pytest.approx(float(v.values[0]), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_moment_identity_random(self, seed):

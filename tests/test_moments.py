@@ -233,6 +233,15 @@ class TestChaosOracle:
         with pytest.raises(ValueError, match="ill-conditioned"):
             chaos_inner_product(f, f, model, 2)
 
+    def test_raw_product_leaves_pair_memo_empty(self, nu2):
+        # the pair memo serves the Gram right-hand sides; raw (f, g) pairs are
+        # never read twice, so storing them only costs memory
+        grid = GridSpace((0.7, 1.3))
+        model = CumulantModel(nu2, grid)
+        f = SymmetricTensor.basis_element(grid, 0, 0)
+        assert chaos_inner_product(f, f, model, 0) == 1.0
+        assert model._pair == {}
+
     def test_models_on_one_grid_keep_their_own_moments(self, nu2, nup):
         # two measures on the same grid, queried alternately: each model must
         # return what a fresh model of its own measure returns, bit for bit,
