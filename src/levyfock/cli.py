@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,11 +110,16 @@ class RunConfig:
     oracle_levels: int
     fault_b1: float
     check_symmetry: bool
+    _measure: JumpMeasure | None = field(default=None, init=False, repr=False, compare=False)
 
     def measure(self) -> JumpMeasure:
-        if self.measure_type == "gamma":
-            return gauss_laguerre_gamma(self.gamma_order)
-        return JumpMeasure(self.locations, self.measure_weights)
+        """The jump measure, built on the first call and shared after it."""
+        if self._measure is None:
+            if self.measure_type == "gamma":
+                self._measure = gauss_laguerre_gamma(self.gamma_order)
+            else:
+                self._measure = JumpMeasure(self.locations, self.measure_weights)
+        return self._measure
 
     def grid(self) -> GridSpace:
         return GridSpace(self.grid_weights)
@@ -291,7 +296,8 @@ def cmd_verify_moments(cfg: RunConfig, report: Report) -> int:
     symmetry_bad = False
     if cfg.check_symmetry:
         deep = FockSpace(grid, measure, space.table, cfg.depth)
-        pair_defect = adjoint_defect(creation(phi, deep), annihilation(phi, deep))
+        minus = annihilation(phi, deep)
+        pair_defect = adjoint_defect(creation(phi, deep, minus), minus)
         neutral_defect = symmetry_defect(neutral(phi, deep))
         report.add("adjoint-defect", pair_defect)
         report.add("neutral-symmetry-defect", neutral_defect)

@@ -13,7 +13,12 @@ level order, each level's blocks in reverse-lexicographic multiplicity
 order, and each block holds its representatives in lexicographic tuple
 order.  The space owns that layout, one slice per block, and sizes the
 slices from the closed-form block dimensions, so building it enumerates
-no representative.  Summations run in enumeration order, so vectors,
+no representative.  A block basis holds its representatives as one
+integer array, one row each, built from one array of sorted tuples per
+part size.  A representative's position needs no lookup table: it is
+the mixed-radix number, in part-size order, of each segment's
+lexicographic rank, and that rank is a sum of binomial coefficients.
+Summations run in enumeration order, so vectors,
 operators and reports are bit-stable across runs.  All inputs are
 immutable, so concurrent use is safe; results are identical to
 sequential execution.
@@ -38,6 +43,7 @@ __all__ = [
     "block_weight",
     "BlockBasis",
     "block_basis",
+    "segment_rank",
     "SymmetricBasis",
     "symmetric_basis",
     "SymmetricTensor",
@@ -168,78 +174,164 @@ def block_weight(alpha: MultiIndex, table: RecurrenceTable) -> float:
     return weight
 
 
-def _arrangements(segment: tuple[int, ...]) -> int:
-    count = math.factorial(len(segment))
-    for c in Counter(segment).values():
-        count //= math.factorial(c)
-    return count
+def _combinations(size: int, m: int) -> np.ndarray:
+    """Sorted m-tuples of grid points ``0 .. size - 1``, one per row, in
+    lexicographic order."""
+    count = math.comb(size + m - 1, m)
+    flat = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(size), m)
+    )
+    return np.fromiter(flat, dtype=np.intp, count=count * m).reshape(count, m)
+
+
+def _digits(radix: tuple[int, ...]) -> list:
+    """Mixed-radix digits of ``0 .. prod(radix) - 1``, most significant first;
+    a digit of base 1 is the scalar 0."""
+    count = math.prod(radix)
+    digits = []
+    period = count
+    for base in radix:
+        inner = period // base
+        if base == 1:
+            digits.append(0)
+        else:
+            digits.append(np.repeat(np.arange(base), inner)[np.arange(count) % period])
+        period = inner
+    return digits
+
+
+@lru_cache(maxsize=None)
+def _rank_terms(size: int, m: int) -> np.ndarray:
+    """Table T with ``segment_rank = sum_j T[x_j + j, j]``: the negated
+    binomial terms, with the constant folded into column 0."""
+    top = size + m - 1
+    table = np.array(
+        [[-math.comb(top - 1 - a, m - j) for j in range(m)] for a in range(top)],
+        dtype=np.int64,
+    ).reshape(top, m)
+    if m:
+        table[:, 0] += math.comb(top, m) - 1
+    return table
+
+
+def segment_rank(tuples: np.ndarray, size: int) -> np.ndarray:
+    """Lexicographic position of sorted m-tuples among all sorted m-tuples of
+    ``size`` grid points; the tuples run along the last axis.
+
+    Shifting coordinate j by j maps sorted tuples one to one onto strictly
+    increasing m-subsets of ``0 .. N - 1`` with ``N = size + m - 1``, whose
+    rank is ``C(N, m) - 1 - sum_j C(N - 1 - (x_j + j), m - j)``.
+    """
+    j = np.arange(tuples.shape[-1])
+    return _rank_terms(size, len(j))[tuples + j, j].sum(axis=-1)
+
+
+def _multiplicity(reps: np.ndarray, offsets, size: int) -> np.ndarray:
+    """Distinct within-segment rearrangements of each row of sorted segments
+    over ``size`` grid points.
+
+    Per segment this is ``m! / prod(run length!)``, built one column at a
+    time as a running integer ratio: after each column it is the count for
+    the prefix, so every step divides exactly.
+    """
+    if size == 1:  # one grid point: every tuple is its only arrangement
+        return np.ones(len(reps))
+    exact = reps.shape[1] <= 18  # running counts stay below 18! < 2**53, exact as floats
+    equal = np.eye(size, dtype=float if exact else object)  # 1 where two points coincide
+    mult = np.ones(len(reps), dtype=equal.dtype)
+    for start, stop in offsets:
+        run = np.ones(len(reps), dtype=equal.dtype)
+        for j in range(start + 1, stop):
+            run = equal[reps[:, j], reps[:, j - 1]] * run + 1
+            mult = mult * (j - start + 1)
+            mult = mult / run if exact else mult // run
+    return mult.astype(float)
+
+
+def _weight_product(reps: np.ndarray, weights: tuple[float, ...]) -> np.ndarray:
+    """Product of the grid weights along each row, left to right."""
+    w = np.array(weights)
+    sigma = np.ones(len(reps))
+    for j in range(reps.shape[1]):
+        sigma = sigma * w[reps[:, j]]
+    return sigma
 
 
 @dataclass
 class BlockBasis:
     """Representative-tuple enumeration of one block over one grid.
 
-    ``reps`` are the flat coordinate tuples (grid point indices), sorted
+    ``reps`` holds one representative per row (grid point indices), sorted
     within each same-part-size segment; ``mult`` counts the distinct
     within-segment rearrangements of each representative and ``sigma`` is
     its product of grid weights, so ``weight = mult * sigma`` turns sums
-    over representatives into sums over all tuples.
+    over representatives into sums over all tuples.  A representative's
+    position is the mixed-radix number of its segments' lexicographic
+    ranks, most significant first, with digit bases ``radix``.
     """
 
     alpha: MultiIndex
     grid: GridSpace
-    reps: tuple[tuple[int, ...], ...]
-    index: dict[tuple[int, ...], int]
+    reps: np.ndarray
     mult: np.ndarray
     sigma: np.ndarray
     weight: np.ndarray
     offsets: tuple[tuple[int, int], ...]  # (start, stop) per part size, 1-based list
+    radix: tuple[int, ...]  # number of sorted tuples per part size
 
     @property
     def dim(self) -> int:
         return len(self.reps)
 
-    def segments(self, rep: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Split a flat tuple into its per-part-size segments."""
-        return [rep[start:stop] for start, stop in self.offsets]
+    def segment_ranks(self) -> list:
+        """Per part size, the segment's lexicographic rank for every
+        representative; the scalar 0 where the part size has a single sorted
+        tuple."""
+        return _digits(self.radix)
+
+    def compose(self, ranks, shape, start: int = 0) -> np.ndarray:
+        """Positions, as an array of ``shape`` counted from ``start``, of the
+        representatives with the given per-segment ranks (each broadcasting
+        to ``shape``)."""
+        index = np.full(shape, start, dtype=np.intp)
+        stride = self.dim
+        for rank, base in zip(ranks, self.radix):
+            stride //= base
+            if base > 1:  # a part size with a single sorted tuple adds no digit
+                index += rank * stride
+        return index
+
+    def rank(self, tuples: np.ndarray) -> np.ndarray:
+        """Positions of tuples given one per row, sorted within each segment."""
+        size = self.grid.size
+        ranks = [segment_rank(tuples[:, start:stop], size) for start, stop in self.offsets]
+        return self.compose(ranks, len(tuples))
 
 
 @lru_cache(maxsize=None)
 def block_basis(alpha: MultiIndex, grid: GridSpace) -> BlockBasis:
-    points = range(grid.size)
-    per_block = [
-        tuple(itertools.combinations_with_replacement(points, alpha.count(k)))
-        for k in range(1, alpha.max_part + 1)
-    ]
-    reps = tuple(
-        tuple(itertools.chain.from_iterable(combo))
-        for combo in itertools.product(*per_block)
-    )
-
     offsets = []
     start = 0
-    for k in range(1, alpha.max_part + 1):
-        stop = start + alpha.count(k)
-        offsets.append((start, stop))
-        start = stop
-
-    mult = np.empty(len(reps))
-    sigma = np.empty(len(reps))
-    for i, rep in enumerate(reps):
-        m = 1
-        for s, e in offsets:
-            m *= _arrangements(rep[s:e])
-        mult[i] = float(m)
-        sigma[i] = float(np.prod([grid.weights[p] for p in rep])) if rep else 1.0
+    for m in alpha.multiplicities:
+        offsets.append((start, start + m))
+        start += m
+    segments = [_combinations(grid.size, m) for m in alpha.multiplicities]
+    radix = tuple(len(segment) for segment in segments)
+    dim = math.prod(radix)
+    reps = np.empty((dim, alpha.size), dtype=np.intp)
+    for (start, stop), segment, rank in zip(offsets, segments, _digits(radix)):
+        reps[:, start:stop] = segment[rank]
+    mult = _multiplicity(reps, offsets, grid.size)
+    sigma = _weight_product(reps, grid.weights)
     return BlockBasis(
         alpha=alpha,
         grid=grid,
         reps=reps,
-        index={rep: i for i, rep in enumerate(reps)},
         mult=mult,
         sigma=sigma,
         weight=mult * sigma,
         offsets=tuple(offsets),
+        radix=radix,
     )
 
 
@@ -263,18 +355,15 @@ class SymmetricBasis:
 def symmetric_basis(level: int, grid: GridSpace) -> SymmetricBasis:
     if level < 0:
         raise ValueError("level must be nonnegative")
-    reps = tuple(itertools.combinations_with_replacement(range(grid.size), level))
-    mult = np.array([float(_arrangements(rep)) for rep in reps])
-    sigma = np.array(
-        [float(np.prod([grid.weights[p] for p in rep])) if rep else 1.0 for rep in reps]
-    )
+    combos = _combinations(grid.size, level)
+    reps = tuple(map(tuple, combos.tolist()))
     return SymmetricBasis(
         level=level,
         grid=grid,
         reps=reps,
         index={rep: i for i, rep in enumerate(reps)},
-        mult=mult,
-        sigma=sigma,
+        mult=_multiplicity(combos, ((0, level),), grid.size),
+        sigma=_weight_product(combos, grid.weights),
     )
 
 
@@ -340,12 +429,11 @@ class BlockTensor:
     def value(self, tpl: tuple[int, ...]) -> float:
         """Value at an arbitrary tuple in this block's layout."""
         basis = self.basis
-        rep = tuple(
-            itertools.chain.from_iterable(
-                sorted(tpl[s:e]) for s, e in basis.offsets
-            )
-        )
-        return float(self.values[basis.index[rep]])
+        if len(tpl) != self.alpha.size or not all(0 <= p < self.grid.size for p in tpl):
+            raise KeyError(tpl)
+        rep = itertools.chain.from_iterable(sorted(tpl[s:e]) for s, e in basis.offsets)
+        row = np.fromiter(rep, dtype=np.intp, count=len(tpl)).reshape(1, len(tpl))
+        return float(self.values[basis.rank(row)[0]])
 
 
 def diagonal_restriction(f: SymmetricTensor, alpha: MultiIndex) -> BlockTensor:
@@ -360,7 +448,7 @@ def diagonal_restriction(f: SymmetricTensor, alpha: MultiIndex) -> BlockTensor:
         )
     basis = block_basis(alpha, f.grid)
     values = np.empty(basis.dim)
-    for i, rep in enumerate(basis.reps):
+    for i, rep in enumerate(basis.reps.tolist()):
         expanded: list[int] = []
         for k, (s, e) in enumerate(basis.offsets, start=1):
             for p in rep[s:e]:
@@ -380,8 +468,8 @@ def block_symmetrize(
     """
     basis = block_basis(alpha, grid)
     values = np.empty(basis.dim)
-    for i, rep in enumerate(basis.reps):
-        segs = basis.segments(rep)
+    for i, rep in enumerate(basis.reps.tolist()):
+        segs = [rep[s:e] for s, e in basis.offsets]
         total = 0.0
         count = 0
         for perm in itertools.product(*(itertools.permutations(seg) for seg in segs)):

@@ -22,18 +22,26 @@ over the positions a formula coordinate can occupy, so the triplets act
 directly on representative values.  Promotions whose source part size
 exceeds the recurrence table are skipped: they only arise when the table
 exhausts the measure, and then their weight is exactly zero.
+
+Assembly runs block pair by block pair on whole arrays, with no Python
+loop over representatives: a source position is the mixed-radix number
+of its segments' binomial ranks (:meth:`BlockBasis.compose`), so a
+contraction or promotion only recomputes the rank of the one or two
+segments it changes.  The triplets come out in the order of the
+per-representative formulas: level, target block, the contraction and
+then the promotions by ascending part size, representative, then grid
+point or promoted position.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import math
-from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import BlockBasis, ExtendedFockVector, FockSpace
+from .fock import BlockBasis, ExtendedFockVector, FockSpace, segment_rank
 from .measures import JumpMeasure, TestFunction
 
 __all__ = [
@@ -90,40 +98,44 @@ def _check_phi(phi: TestFunction, space: FockSpace) -> None:
         raise ValueError("test function lives on a different grid")
 
 
-def _without(segment: tuple[int, ...], pos: int) -> tuple[int, ...]:
-    return segment[:pos] + segment[pos + 1 :]
+_ABOVE = np.iinfo(np.intp).max  # above every grid point
 
 
-def _insert_sorted(segment: tuple[int, ...], value: int) -> tuple[int, ...]:
-    out = list(segment)
-    insort(out, value)
-    return tuple(out)
+def _part(basis: BlockBasis, k: int) -> np.ndarray:
+    """The size-k segment of every representative, one sorted tuple per row."""
+    start, stop = basis.offsets[k - 1] if k <= basis.alpha.max_part else (0, 0)
+    return basis.reps[:, start:stop]
 
 
-def _segments_upto(basis: BlockBasis, rep: tuple[int, ...], kmax: int) -> list[tuple[int, ...]]:
-    segs = basis.segments(rep)
-    segs.extend(() for _ in range(kmax - len(segs)))
-    return segs
+def _inserted(segment: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """The sorted tuples ``segment`` (one per row) with one more coordinate,
+    for every ``value`` along a new middle axis (``value`` broadcasts against
+    the rows).
 
-
-def _flatten(segments: list[tuple[int, ...]]) -> tuple[int, ...]:
-    return tuple(itertools.chain.from_iterable(segments))
-
-
-def _adjoint(minus: FieldOperator) -> FieldOperator:
-    """Inner-product adjoint of the annihilation part: its weighted transpose.
-
-    An entry ``m`` from source s to target d becomes
-    ``(c * (m * w_d)) / w_s`` from d to s, with ``c = (d! W_d) / (s! W_s)``
-    the level-times-block weight ratio and ``w`` the representative weights.
+    Coordinate j of the result is ``min(max(x[j-1], v), x[j])`` with
+    ``x[-1] = -inf`` and ``x[m] = +inf``: the tuple ``insort`` would give.
     """
-    level, rep = minus.space.flat_weights()
-    dst, src = minus.rows, minus.cols
-    vals = level[dst] / level[src] * (minus.vals * rep[dst]) / rep[src]
-    return FieldOperator("creation", minus.space, minus.phi, src, dst, vals)
+    padded = np.empty((len(segment), segment.shape[1] + 2), dtype=np.intp)
+    padded[:, 0] = -1
+    padded[:, 1:-1] = segment
+    padded[:, -1] = _ABOVE
+    return np.minimum(np.maximum(padded[:, None, :-1], value[..., None]), padded[:, None, 1:])
 
 
-def creation(phi: TestFunction, space: FockSpace) -> FieldOperator:
+def _removed(segment: np.ndarray) -> np.ndarray:
+    """The sorted tuples ``segment`` (one per row) without coordinate q, for
+    every q along a new middle axis."""
+    count, m = segment.shape
+    out = np.empty((count, m, m - 1), dtype=segment.dtype)
+    for q in range(m):
+        out[:, q, :q] = segment[:, :q]
+        out[:, q, q:] = segment[:, q + 1 :]
+    return out
+
+
+def creation(
+    phi: TestFunction, space: FockSpace, minus: FieldOperator | None = None
+) -> FieldOperator:
     """Creation part: extension of a level by the test function.
 
     On plainly symmetric inputs this is the symmetrized tensor product
@@ -135,9 +147,23 @@ def creation(phi: TestFunction, space: FockSpace) -> FieldOperator:
     diagonal promotion into an already occupied part can occur, which
     covers all images up to level three, the adjoint coincides with the
     symmetrized tensor product on embedded symmetric tensors.)
+
+    An annihilation entry ``m`` from source s to target d becomes
+    ``(c * (m * w_d)) / w_s`` from d to s, with ``c = (d! W_d) / (s! W_s)``
+    the level-times-block weight ratio and ``w`` the representative
+    weights.  ``minus``, the annihilation part of the same test function
+    on the same space, is transposed as given instead of being assembled
+    again.
     """
     _check_phi(phi, space)
-    return _adjoint(annihilation(phi, space))
+    if minus is None:
+        minus = annihilation(phi, space)
+    elif minus.kind != "annihilation" or minus.phi != phi or minus.space is not space:
+        raise ValueError("minus must be the annihilation part of phi on this space")
+    level, rep = space.flat_weights()
+    dst, src = minus.rows, minus.cols
+    vals = level[dst] / level[src] * (minus.vals * rep[dst]) / rep[src]
+    return FieldOperator("creation", space, phi, src, dst, vals)
 
 
 def neutral(phi: TestFunction, space: FockSpace) -> FieldOperator:
@@ -145,20 +171,24 @@ def neutral(phi: TestFunction, space: FockSpace) -> FieldOperator:
 
     Each representative is scaled by the sum, over part sizes present in
     its block, of the diagonal recurrence coefficient of that size times
-    the test-function values on the segment.
+    the test-function values on the segment.  Each segment sum is one
+    ``math.fsum``, taken once per sorted tuple of grid points and gathered
+    by segment rank.
     """
     _check_phi(phi, space)
     a = space.table.a
+    sums: dict[int, np.ndarray] = {}  # part count -> phi summed over each sorted tuple
     diag = np.empty(space.dim)
     for level, alpha in space.block_keys():
         basis = space.basis(alpha)
-        start = space.block_slice(level, alpha).start
-        for yi, y in enumerate(basis.reps):
-            total = 0.0
-            for k, _mult in alpha.parts():
-                lo, hi = basis.offsets[k - 1]
-                total += a[k - 1] * math.fsum(phi[p] for p in y[lo:hi])
-            diag[start + yi] = total
+        ranks = basis.segment_ranks()
+        total = np.zeros(basis.dim)
+        for k, m in alpha.parts():
+            if m not in sums:
+                tuples = itertools.combinations_with_replacement(phi.values, m)
+                sums[m] = np.array([math.fsum(t) for t in tuples])
+            total = total + a[k - 1] * sums[m][ranks[k - 1]]
+        diag[space.block_slice(level, alpha)] = total
     positions = np.arange(space.dim)
     return FieldOperator("neutral", space, phi, positions, positions, diag)
 
@@ -182,29 +212,35 @@ def annihilation(phi: TestFunction, space: FockSpace) -> FieldOperator:
     the resident reading breaks both while leaving low-order vacuum
     moments intact.  The within-block symmetrization reduces to a plain
     sum over the positions the promoted coordinate can come from, so one
-    entry may collect several contributions; they are summed in loop
-    order.
+    entry may collect several contributions: promotions of equal
+    coordinates of one sorted part.  They are adjacent, and each run is
+    summed in position order starting from 0.0.
     """
     _check_phi(phi, space)
     b = space.table.b
-    mass = space.mass
-    sigma = space.grid.weights
-    entries: dict[tuple[int, int], float] = {}
+    size = space.grid.size
+    values = np.array(phi.values)
+    rows, cols, vals = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
     for n in range(1, space.depth + 1):
+        contraction = n * space.mass * np.array(space.grid.weights) * values
         for dst_alpha in space.blocks(n - 1):
-            dst_basis = space.basis(dst_alpha)
+            dst = space.basis(dst_alpha)
             dst_start = space.block_slice(n - 1, dst_alpha).start
-
+            dst_rows = np.arange(dst_start, dst_start + dst.dim)
+            ranks = [
+                r if base == 1 else r[:, None] for r, base in zip(dst.segment_ranks(), dst.radix)
+            ]
+            # contraction: grid point i joins the singletons; rows (y, i)
             src_alpha = dst_alpha.raised(1)
+            src = space.basis(src_alpha)
+            src_ranks = ranks + [0] * (src_alpha.max_part - len(ranks))
+            if src.radix[0] > 1:  # a single sorted tuple has rank 0
+                singles = _inserted(_part(dst, 1), np.arange(size))
+                src_ranks[0] = segment_rank(singles, size)
             src_start = space.block_slice(n, src_alpha).start
-            src_index = space.basis(src_alpha).index
-            for yi, y in enumerate(dst_basis.reps):
-                segs = _segments_upto(dst_basis, y, 1)
-                for i in range(space.grid.size):
-                    newsegs = list(segs)
-                    newsegs[0] = _insert_sorted(segs[0], i)
-                    key = (dst_start + yi, src_start + src_index[_flatten(newsegs)])
-                    entries[key] = entries.get(key, 0.0) + n * mass * sigma[i] * phi[i]
+            rows.append(np.repeat(dst_rows, size))
+            cols.append(src.compose(src_ranks, (dst.dim, size), src_start).ravel())
+            vals.append(np.repeat(contraction[None, :], dst.dim, axis=0).ravel())
 
             for k in range(2, dst_alpha.max_part + 2):
                 if dst_alpha.count(k - 1) == 0:
@@ -212,22 +248,38 @@ def annihilation(phi: TestFunction, space: FockSpace) -> FieldOperator:
                 src_alpha = dst_alpha.lowered(k - 1).raised(k)
                 if src_alpha.max_part > space.max_part:
                     continue  # beyond an exhausted table: exactly zero weight
+                # promotion: coordinate q of the size-(k-1) part moves into
+                # the size-k part; rows (y, q)
+                lower = _part(dst, k - 1)
+                src = space.basis(src_alpha)
+                src_ranks = ranks + [0] * (src_alpha.max_part - len(ranks))
+                if src.radix[k - 2] > 1:
+                    src_ranks[k - 2] = segment_rank(_removed(lower), size)
+                if src.radix[k - 1] > 1:
+                    src_ranks[k - 1] = segment_rank(_inserted(_part(dst, k), lower), size)
                 src_start = space.block_slice(n, src_alpha).start
-                src_index = space.basis(src_alpha).index
-                base = (n / k) * b[k - 1]
-                qstart, qstop = dst_basis.offsets[k - 2]
-                for yi, y in enumerate(dst_basis.reps):
-                    segs = _segments_upto(dst_basis, y, k)
-                    for qpos in range(qstart, qstop):
-                        qval = y[qpos]
-                        newsegs = list(segs)
-                        newsegs[k - 2] = _without(segs[k - 2], qpos - qstart)
-                        newsegs[k - 1] = _insert_sorted(segs[k - 1], qval)
-                        key = (dst_start + yi, src_start + src_index[_flatten(newsegs)])
-                        entries[key] = entries.get(key, 0.0) + base * phi[qval]
-    positions = np.array(list(entries), dtype=np.intp).reshape(-1, 2)
-    vals = np.fromiter(entries.values(), dtype=float, count=len(entries))
-    return FieldOperator("annihilation", space, phi, positions[:, 0], positions[:, 1], vals)
+                # Equal coordinates of a sorted part promote to one entry.
+                # Each run sums at its first position, in q order from 0.0
+                # as repeated += would; its other positions keep 0.0 and are
+                # dropped with the other exact zeros.
+                count, m = lower.shape
+                slots = np.repeat(np.arange(0, count * m, m), m)  # one run per row
+                if m > 1 and size > 1:  # on one grid point a part is one run
+                    starts = np.zeros((count, m), dtype=np.intp)  # q where a run starts, else 0
+                    starts[:, 1:] = np.minimum(lower[:, 1:] - lower[:, :-1], 1) * np.arange(1, m)
+                    slots += np.maximum.accumulate(starts, axis=1).ravel()  # start of q's run
+                terms = (n / k) * b[k - 1] * values[lower].ravel()
+                rows.append(np.repeat(dst_rows, m))
+                cols.append(src.compose(src_ranks, lower.shape, src_start).ravel())
+                vals.append(np.bincount(slots, terms, minlength=count * m))
+    return FieldOperator(
+        "annihilation",
+        space,
+        phi,
+        np.concatenate(rows),
+        np.concatenate(cols),
+        np.concatenate(vals),
+    )
 
 
 def full(phi: TestFunction, space: FockSpace) -> FieldOperator:
@@ -237,7 +289,7 @@ def full(phi: TestFunction, space: FockSpace) -> FieldOperator:
     (row, column) pair and their triplets simply concatenate.
     """
     minus = annihilation(phi, space)
-    parts = (_adjoint(minus), neutral(phi, space), minus)
+    parts = (creation(phi, space, minus), neutral(phi, space), minus)
     return FieldOperator(
         "full",
         space,

@@ -1,0 +1,91 @@
+"""The array block bases against a tuple-by-tuple reference.
+
+The reference enumerates representatives with ``itertools`` and counts
+rearrangements with ``Counter``, one tuple at a time, as a direct reading
+of the definitions; the library builds the same bases from per-segment
+combination arrays, run lengths and binomial ranks.
+"""
+from __future__ import annotations
+
+import itertools
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from levyfock import GridSpace, MultiIndex
+from levyfock.fock import BlockTensor, _multiplicity, block_basis, partitions
+
+GRIDS = [
+    GridSpace((2.0,)),
+    GridSpace((0.8, 1.4)),
+    GridSpace((0.7, 1.1, 1.3)),
+    GridSpace((0.55, 1.3, 0.9, 1.7, 1.05)),
+]
+BLOCKS = [alpha for n in range(7) for alpha in partitions(n)]
+
+
+def reference_basis(alpha: MultiIndex, grid: GridSpace):
+    per_segment = [
+        list(itertools.combinations_with_replacement(range(grid.size), m))
+        for m in alpha.multiplicities
+    ]
+    reps, mult, sigma = [], [], []
+    for combo in itertools.product(*per_segment):
+        count = 1
+        for segment in combo:
+            arrangements = math.factorial(len(segment))
+            for c in Counter(segment).values():
+                arrangements //= math.factorial(c)
+            count *= arrangements
+        rep = tuple(itertools.chain.from_iterable(combo))
+        reps.append(rep)
+        mult.append(float(count))
+        sigma.append(float(np.prod([grid.weights[p] for p in rep])) if rep else 1.0)
+    return reps, np.array(mult), np.array(sigma)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"G{g.size}")
+@pytest.mark.parametrize("alpha", BLOCKS, ids=str)
+def test_matches_reference(alpha, grid):
+    basis = block_basis(alpha, grid)
+    reps, mult, sigma = reference_basis(alpha, grid)
+    assert list(map(tuple, basis.reps.tolist())) == reps
+    assert basis.reps.shape == (len(reps), alpha.size)
+    assert basis.mult.tobytes() == mult.tobytes()
+    assert basis.sigma.tobytes() == sigma.tobytes()
+    assert basis.dim == len(reps)
+    assert np.array_equal(basis.rank(basis.reps), np.arange(basis.dim))
+    composed = basis.compose(basis.segment_ranks(), basis.dim)
+    assert np.array_equal(composed, np.arange(basis.dim))
+
+
+@pytest.mark.parametrize("alpha", [MultiIndex((2, 0, 1)), MultiIndex((1, 2)), MultiIndex((3,))])
+def test_value_reads_unsorted_tuples(alpha):
+    grid = GRIDS[2]
+    basis = block_basis(alpha, grid)
+    values = np.random.default_rng(4).normal(0, 1, basis.dim)
+    tensor = BlockTensor(grid, alpha, values)
+    shuffle = np.random.default_rng(5)
+    for i, rep in enumerate(basis.reps.tolist()):
+        segments = [list(rep[s:e]) for s, e in basis.offsets]
+        for segment in segments:
+            shuffle.shuffle(segment)
+        assert tensor.value(tuple(itertools.chain.from_iterable(segments))) == values[i]
+
+
+def test_value_rejects_foreign_tuples():
+    grid = GRIDS[1]
+    alpha = MultiIndex((1, 1))
+    tensor = BlockTensor(grid, alpha, np.zeros(block_basis(alpha, grid).dim))
+    for bad in [(0,), (0, 1, 1), (0, 2), (-1, 0)]:
+        with pytest.raises(KeyError):
+            tensor.value(bad)
+
+
+def test_multiplicity_past_int64_factorials():
+    # 21 distinct coordinates: 21! exceeds int64, the count must stay exact
+    assert _multiplicity(np.arange(21)[None, :], ((0, 21),), 21).tolist() == [
+        float(math.factorial(21))
+    ]

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from levyfock import cli
+from levyfock import cli, jacobi
 from levyfock.cli import load_config, main, parse_config_text
 
 NU2_CFG = """\
@@ -248,10 +248,32 @@ depth 2
 oracle_levels 2
 """
 
+# Three grid points, five atoms, depth 6: annihilation promotes into part
+# sizes 3 to 5, passes blocks with an empty middle part size such as (2, 0, 1)
+# and sums duplicate promotions into one entry, none of which the one- and
+# two-point configs reach.
+THREE_POINT_CFG = """\
+[measure]
+type inline
+locations -1.3 -0.4 0.6 1.1 2.2
+weights 0.7 1.2 0.5 0.9 1.1
+
+[grid]
+weights 0.7 1.1 1.3
+
+[phi]
+values 0.9 -0.4 1.2
+
+[run]
+depth 6
+check_symmetry 1
+"""
+
 # sha256 of each report under --json, recorded once from the dense-block
 # implementation (the multi-point oracle report from the per-pair Gram
 # implementation; the one-point gamma moments and the two-point moments from
-# the half-depth moment pairing); a storage or summation-order change must
+# the half-depth moment pairing; the three-point export and moments from the
+# per-representative assembler); a storage or summation-order change must
 # reproduce them.
 PINNED_REPORTS = [
     (
@@ -299,6 +321,16 @@ PINNED_REPORTS = [
         TWO_POINT_CFG + "check_symmetry 1\n",
         "7369ed5498dbd3a4bd11dd4a7e772f8a6b79a022bffda945159c37682696b04f",
     ),
+    (
+        "export-operator",
+        THREE_POINT_CFG,
+        "b04106b1069dc80bf5efa486bee06898e4de658a56f468d3747f1fdb2373df80",
+    ),
+    (
+        "verify-moments",
+        THREE_POINT_CFG,
+        "19e0ce9438657aa9bec4617b7612b768b46b81cac558b308480c91224ec14e75",
+    ),
 ]
 
 
@@ -312,6 +344,39 @@ def test_report_bytes_pinned(tmp_path, command, cfg, digest):
     out = tmp_path / "report.txt"
     assert main([command, "--config", cfg_path, "--json", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _counting(monkeypatch, owners, name):
+    """Replace ``name`` on every owner module by one wrapper that counts calls."""
+    original = getattr(owners[0], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_defect_check_assembles_deep_annihilation_once(tmp_path, monkeypatch, capsys):
+    # one annihilation for the half-depth moment space, one at the configured
+    # depth, shared by the creation adjoint and the defect
+    calls = _counting(monkeypatch, [cli, jacobi], "annihilation")
+    path = write(tmp_path, "sym.cfg", TWO_POINT_CFG + "check_symmetry 1\n")
+    assert main(["verify-moments", "--config", path]) == 0
+    capsys.readouterr()
+    assert [space.depth for _phi, space in calls] == [2, 4]
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_measure_built_once_per_command(tmp_path, monkeypatch, capsys, command):
+    calls = _counting(monkeypatch, [cli], "gauss_laguerre_gamma")
+    path = write(tmp_path, "gamma.cfg", GAMMA_CFG)
+    assert main([command, "--config", path]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_tolerance_override(tmp_path, capsys):

@@ -159,7 +159,7 @@ class TestDiagonalRestriction:
             for alpha in partitions(n):
                 block = diagonal_restriction(f, alpha)
                 basis = block_basis(alpha, grid)
-                for rep in basis.reps:
+                for rep in map(tuple, basis.reps.tolist()):
                     expanded = []
                     for k, (s, e) in enumerate(basis.offsets, start=1):
                         for p in rep[s:e]:
@@ -176,7 +176,7 @@ class TestBlockSymmetrize:
         basis = block_basis(alpha, grid)
         rng = np.random.default_rng(1)
         values = rng.normal(0, 1, basis.dim)
-        source = {rep: values[i] for i, rep in enumerate(basis.reps)}
+        source = {rep: values[i] for i, rep in enumerate(map(tuple, basis.reps.tolist()))}
 
         def fn(tpl):
             rep = tuple(
@@ -207,7 +207,7 @@ class TestBlockSymmetrize:
             return float(tpl[0] + 10 * tpl[1])
 
         out = block_symmetrize(fn, MultiIndex((1, 1)), grid)
-        for rep in block_basis(MultiIndex((1, 1)), grid).reps:
+        for rep in map(tuple, block_basis(MultiIndex((1, 1)), grid).reps.tolist()):
             assert out.value(rep) == fn(rep)
 
     @settings(max_examples=25, deadline=None)

@@ -519,6 +519,22 @@ class TestSymmetryAndAdjointness:
         defect = adjoint_defect(creation(phi, space), annihilation(phi, space))
         assert defect <= 1e-10
 
+    def test_creation_from_given_annihilation(self, random_setup):
+        _, grid, space, phi = random_setup
+        built = creation(phi, space)
+        given = creation(phi, space, annihilation(phi, space))
+        for field in ("rows", "cols", "vals"):
+            assert getattr(given, field).tobytes() == getattr(built, field).tobytes()
+        other = TestFunction(grid, tuple(2.0 * v for v in phi.values))
+        twin = FockSpace(grid, space.measure, space.table, space.depth)
+        for wrong in (
+            neutral(phi, space),
+            annihilation(other, space),
+            annihilation(phi, twin),
+        ):
+            with pytest.raises(ValueError, match="annihilation part"):
+                creation(phi, space, wrong)
+
 
 class TestExport:
     def test_header_and_determinism(self, random_setup):
