@@ -18,8 +18,10 @@ integer array, one row each, built from one array of sorted tuples per
 part size.  A representative's position needs no lookup table: it is
 the mixed-radix number, in part-size order, of each segment's
 lexicographic rank, and that rank is a sum of binomial coefficients.
-Summations run in enumeration order, so vectors,
-operators and reports are bit-stable across runs.  All inputs are
+A plain symmetric level-n tensor is the all-singletons block of level n,
+so it uses that block's basis; its diagonal restriction to any other
+block of level n is one gather.  Summations run in enumeration order, so
+vectors, operators and reports are bit-stable across runs.  All inputs are
 immutable, so concurrent use is safe; results are identical to
 sequential execution.
 """
@@ -28,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator
 
@@ -44,7 +46,6 @@ __all__ = [
     "BlockBasis",
     "block_basis",
     "segment_rank",
-    "SymmetricBasis",
     "symmetric_basis",
     "SymmetricTensor",
     "BlockTensor",
@@ -307,6 +308,15 @@ class BlockBasis:
         ranks = [segment_rank(tuples[:, start:stop], size) for start, stop in self.offsets]
         return self.compose(ranks, len(tuples))
 
+    def position(self, tpl: tuple[int, ...]) -> int:
+        """Position of an arbitrary tuple in this block's layout, each
+        segment sorted first; ``KeyError`` for a tuple outside the block."""
+        if len(tpl) != self.alpha.size or not all(0 <= p < self.grid.size for p in tpl):
+            raise KeyError(tpl)
+        rep = itertools.chain.from_iterable(sorted(tpl[s:e]) for s, e in self.offsets)
+        row = np.fromiter(rep, dtype=np.intp, count=len(tpl)).reshape(1, len(tpl))
+        return int(self.rank(row)[0])
+
 
 @lru_cache(maxsize=None)
 def block_basis(alpha: MultiIndex, grid: GridSpace) -> BlockBasis:
@@ -335,61 +345,36 @@ def block_basis(alpha: MultiIndex, grid: GridSpace) -> BlockBasis:
     )
 
 
-@dataclass
-class SymmetricBasis:
-    """Sorted-tuple enumeration of fully symmetric level-n functions."""
-
-    level: int
-    grid: GridSpace
-    reps: tuple[tuple[int, ...], ...]
-    index: dict[tuple[int, ...], int]
-    mult: np.ndarray
-    sigma: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.reps)
-
-
-@lru_cache(maxsize=None)
-def symmetric_basis(level: int, grid: GridSpace) -> SymmetricBasis:
+def symmetric_basis(level: int, grid: GridSpace) -> BlockBasis:
+    """Sorted-tuple enumeration of fully symmetric level-n functions: the
+    block basis of the all-singletons index."""
     if level < 0:
         raise ValueError("level must be nonnegative")
-    combos = _combinations(grid.size, level)
-    reps = tuple(map(tuple, combos.tolist()))
-    return SymmetricBasis(
-        level=level,
-        grid=grid,
-        reps=reps,
-        index={rep: i for i, rep in enumerate(reps)},
-        mult=_multiplicity(combos, ((0, level),), grid.size),
-        sigma=_weight_product(combos, grid.weights),
-    )
+    return block_basis(MultiIndex((level,)), grid)
 
 
 @dataclass
 class SymmetricTensor:
     """Fully symmetric function of ``level`` grid variables.
 
-    Values are stored on sorted tuples in lexicographic order; arbitrary
-    tuples are looked up after sorting.
+    Values are stored on sorted tuples in lexicographic order, the
+    all-singletons block basis; arbitrary tuples are looked up after
+    sorting.
     """
 
     grid: GridSpace
     level: int
     values: np.ndarray
+    basis: BlockBasis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (symmetric_basis(self.level, self.grid).dim,):
+        self.basis = symmetric_basis(self.level, self.grid)
+        if self.values.shape != (self.basis.dim,):
             raise ValueError("value array does not match the sorted-tuple basis")
 
-    @property
-    def basis(self) -> SymmetricBasis:
-        return symmetric_basis(self.level, self.grid)
-
     def value(self, tpl: tuple[int, ...]) -> float:
-        return float(self.values[self.basis.index[tuple(sorted(tpl))]])
+        return float(self.values[self.basis.position(tpl)])
 
     @classmethod
     def zeros(cls, grid: GridSpace, level: int) -> SymmetricTensor:
@@ -399,8 +384,8 @@ class SymmetricTensor:
     def from_function(
         cls, grid: GridSpace, level: int, fn: Callable[[tuple[int, ...]], float]
     ) -> SymmetricTensor:
-        basis = symmetric_basis(level, grid)
-        return cls(grid, level, np.array([float(fn(rep)) for rep in basis.reps]))
+        reps = symmetric_basis(level, grid).reps.tolist()
+        return cls(grid, level, np.array([float(fn(tuple(rep))) for rep in reps]))
 
     @classmethod
     def basis_element(cls, grid: GridSpace, level: int, idx: int) -> SymmetricTensor:
@@ -428,33 +413,35 @@ class BlockTensor:
 
     def value(self, tpl: tuple[int, ...]) -> float:
         """Value at an arbitrary tuple in this block's layout."""
-        basis = self.basis
-        if len(tpl) != self.alpha.size or not all(0 <= p < self.grid.size for p in tpl):
-            raise KeyError(tpl)
-        rep = itertools.chain.from_iterable(sorted(tpl[s:e]) for s, e in basis.offsets)
-        row = np.fromiter(rep, dtype=np.intp, count=len(tpl)).reshape(1, len(tpl))
-        return float(self.values[basis.rank(row)[0]])
+        return float(self.values[self.basis.position(tpl)])
+
+
+def _sort_rows(rows: np.ndarray) -> None:
+    """Sort every row in place by odd-even transposition: one pass per
+    column, each a pairwise minimum and maximum of neighbouring columns."""
+    width = rows.shape[1]
+    for step in range(width):
+        lo, hi = rows[:, step % 2 : width - 1 : 2], rows[:, step % 2 + 1 : width : 2]
+        lo[:], hi[:] = np.minimum(lo, hi), np.maximum(lo, hi)
 
 
 def diagonal_restriction(f: SymmetricTensor, alpha: MultiIndex) -> BlockTensor:
     """Block coordinate of a symmetric tensor: each part-k coordinate repeated k times.
 
     The layout follows the block convention: singleton coordinates first,
-    then the coordinates repeated twice, and so on.
+    then the coordinates repeated twice, and so on.  Each block
+    representative expands to a level-``f.level`` tuple, sorted and ranked
+    in the symmetric basis.
     """
     if alpha.degree != f.level:
         raise ValueError(
             f"degree mismatch: block index has degree {alpha.degree}, tensor level {f.level}"
         )
     basis = block_basis(alpha, f.grid)
-    values = np.empty(basis.dim)
-    for i, rep in enumerate(basis.reps.tolist()):
-        expanded: list[int] = []
-        for k, (s, e) in enumerate(basis.offsets, start=1):
-            for p in rep[s:e]:
-                expanded.extend([p] * k)
-        values[i] = f.value(tuple(expanded))
-    return BlockTensor(f.grid, alpha, values)
+    repeats = [k for k, (s, e) in enumerate(basis.offsets, start=1) for _ in range(s, e)]
+    expanded = np.repeat(basis.reps, repeats, axis=1)
+    _sort_rows(expanded)
+    return BlockTensor(f.grid, alpha, f.values[f.basis.rank(expanded)])
 
 
 def block_symmetrize(
@@ -627,15 +614,5 @@ def level_inner_product(f: ExtendedFockVector, g: ExtendedFockVector, n: int) ->
 
 def inner_product(f: ExtendedFockVector, g: ExtendedFockVector) -> float:
     """Full-space inner product: factorial of the level weights each level."""
-    _check_pairing(f, g)
     common = min(f.space.depth, g.space.depth)
-    total = 0.0
-    for n in range(common + 1):
-        for alpha in f.space.blocks(n):
-            basis = f.space.basis(alpha)
-            total += (
-                math.factorial(n)
-                * f.space.weight(n, alpha)
-                * float(np.dot(basis.weight * f[n, alpha], g[n, alpha]))
-            )
-    return total
+    return sum(math.factorial(n) * level_inner_product(f, g, n) for n in range(common + 1))

@@ -102,11 +102,10 @@ def meixner_neutral(phi: TestFunction, f: SymmetricTensor, lam: float) -> Symmet
     """
     if phi.grid != f.grid:
         raise ValueError("grid mismatch")
-    basis = symmetric_basis(f.level, f.grid)
     values = np.array(
         [
             lam * math.fsum(phi[p] for p in rep) * float(f.values[i])
-            for i, rep in enumerate(basis.reps)
+            for i, rep in enumerate(f.basis.reps.tolist())
         ]
     )
     return SymmetricTensor(f.grid, f.level, values)
@@ -133,7 +132,7 @@ def meixner_annihilation(
     grid = f.grid
     basis_out = symmetric_basis(n - 1, grid)
     values = np.empty(basis_out.dim)
-    for i, rep in enumerate(basis_out.reps):
+    for i, rep in enumerate(map(tuple, basis_out.reps.tolist())):
         contraction = n * mass * math.fsum(
             grid.weights[p] * phi[p] * f.value((p,) + rep) for p in range(grid.size)
         )

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import SymmetricTensor, symmetric_basis
+from .fock import SymmetricTensor
 from .measures import GridSpace, JumpMeasure, TestFunction
 
 __all__ = ["moments_from_cumulants", "CumulantModel", "chaos_inner_product"]
@@ -152,9 +152,9 @@ def _pairing_coefficients(f: SymmetricTensor) -> dict[tuple[int, ...], float]:
     per sorted tuple, with the arrangement count as combinatorial factor.
     Monomials whose coefficient is zero are left out.
     """
-    basis = symmetric_basis(f.level, f.grid)
+    basis = f.basis
     coeffs: dict[tuple[int, ...], float] = {}
-    for i, rep in enumerate(basis.reps):
+    for i, rep in enumerate(basis.reps.tolist()):
         value = basis.mult[i] * float(f.values[i])
         if value == 0.0:
             continue

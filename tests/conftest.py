@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracle helpers for the test suite."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from levyfock import (
     gauss_laguerre_gamma,
     stieltjes,
 )
-from levyfock.fock import symmetric_basis
 from levyfock.moments import _monomials_up_to, _pairing_coefficients
 
 
@@ -59,16 +59,21 @@ def sym_tensor_product(phi: TestFunction, f: SymmetricTensor) -> SymmetricTensor
     """Symmetrized tensor product of a test function with a symmetric tensor.
 
     Direct implementation of the definition, used as the oracle for the
-    creation part on embedded symmetric tensors.
+    creation part on embedded symmetric tensors.  Sorted tuples are
+    enumerated with ``itertools`` in the tensor's lexicographic value order,
+    so no library basis is involved.
     """
     n = f.level
-    basis = symmetric_basis(n + 1, f.grid)
-    values = np.empty(basis.dim)
-    for i, rep in enumerate(basis.reps):
-        values[i] = math.fsum(
-            phi[rep[j]] * f.value(rep[:j] + rep[j + 1 :]) for j in range(n + 1)
-        ) / (n + 1)
-    return SymmetricTensor(f.grid, n + 1, values)
+    points = range(f.grid.size)
+    source = dict(zip(itertools.combinations_with_replacement(points, n), f.values))
+    values = [
+        math.fsum(
+            phi[rep[j]] * float(source[rep[:j] + rep[j + 1 :]]) for j in range(n + 1)
+        )
+        / (n + 1)
+        for rep in itertools.combinations_with_replacement(points, n + 1)
+    ]
+    return SymmetricTensor(f.grid, n + 1, np.array(values))
 
 
 def wick_coefficients(f: SymmetricTensor, model: CumulantModel) -> dict:

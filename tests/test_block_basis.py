@@ -14,8 +14,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from levyfock import GridSpace, MultiIndex
-from levyfock.fock import BlockTensor, _multiplicity, block_basis, partitions
+from levyfock import GridSpace, MultiIndex, SymmetricTensor
+from levyfock.fock import (
+    BlockTensor,
+    _multiplicity,
+    block_basis,
+    diagonal_restriction,
+    partitions,
+    symmetric_basis,
+)
 
 GRIDS = [
     GridSpace((2.0,)),
@@ -78,10 +85,46 @@ def test_value_reads_unsorted_tuples(alpha):
 def test_value_rejects_foreign_tuples():
     grid = GRIDS[1]
     alpha = MultiIndex((1, 1))
-    tensor = BlockTensor(grid, alpha, np.zeros(block_basis(alpha, grid).dim))
-    for bad in [(0,), (0, 1, 1), (0, 2), (-1, 0)]:
-        with pytest.raises(KeyError):
-            tensor.value(bad)
+    block = BlockTensor(grid, alpha, np.zeros(block_basis(alpha, grid).dim))
+    for tensor in [block, SymmetricTensor.zeros(grid, 2)]:
+        for bad in [(0,), (0, 1, 1), (0, 2), (-1, 0)]:
+            with pytest.raises(KeyError):
+                tensor.value(bad)
+
+
+def reference_restriction(f: SymmetricTensor, alpha: MultiIndex) -> np.ndarray:
+    """Diagonal restriction one representative at a time: expand each part-k
+    coordinate k times and read the tensor at the sorted expanded tuple,
+    through a dict over the tensor's lexicographic sorted tuples."""
+    combos = itertools.combinations_with_replacement(range(f.grid.size), f.level)
+    source = dict(zip(combos, f.values))
+    basis = block_basis(alpha, f.grid)
+    values = np.empty(basis.dim)
+    for i, rep in enumerate(basis.reps.tolist()):
+        expanded: list[int] = []
+        for k, (s, e) in enumerate(basis.offsets, start=1):
+            for p in rep[s:e]:
+                expanded.extend([p] * k)
+        values[i] = source[tuple(sorted(expanded))]
+    return values
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"G{g.size}")
+@pytest.mark.parametrize("alpha", BLOCKS, ids=str)
+def test_diagonal_restriction_matches_reference(alpha, grid):
+    rng = np.random.default_rng(7)
+    n = alpha.degree
+    f = SymmetricTensor(grid, n, rng.normal(0, 1, symmetric_basis(n, grid).dim))
+    got = diagonal_restriction(f, alpha).values
+    assert got.tobytes() == reference_restriction(f, alpha).tobytes()
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"G{g.size}")
+def test_symmetric_basis_is_the_all_singletons_block(grid):
+    for n in range(5):
+        assert symmetric_basis(n, grid) is block_basis(MultiIndex((n,)), grid)
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        symmetric_basis(-1, grid)
 
 
 def test_multiplicity_past_int64_factorials():
