@@ -17,11 +17,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from .fock import FockSpace, SymmetricTensor, level_inner_product, symmetric_basis
 from .jacobi import (
+    OperatorExport,
     adjoint_defect,
     annihilation,
     creation,
@@ -47,10 +49,15 @@ def _fmt(value) -> str:
 
 
 class Report:
-    """Accumulates ``key value`` lines and a parallel machine dictionary."""
+    """Accumulates ``key value`` lines and a parallel machine dictionary.
+
+    A ``body`` (the operator export) follows the lines and is streamed
+    through in pieces rather than held as text.
+    """
 
     def __init__(self):
         self.lines: list[str] = []
+        self.body: OperatorExport | None = None
         self.machine: dict = {}
 
     def add(self, key: str, *values) -> None:
@@ -60,11 +67,14 @@ class Report:
     def raw(self, line: str) -> None:
         self.lines.append(line)
 
-    def render(self, with_json: bool) -> str:
-        lines = list(self.lines)
+    def render(self, with_json: bool) -> Iterator[str]:
+        """The report's text in pieces: the lines, the body, then the json line."""
+        if self.lines:
+            yield "\n".join(self.lines) + "\n"
+        if self.body is not None:
+            yield from self.body.chunks()
         if with_json:
-            lines.append("json " + json.dumps(self.machine, sort_keys=True))
-        return "\n".join(lines) + "\n"
+            yield "json " + json.dumps(self.machine, sort_keys=True) + "\n"
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, list[str]]]:
@@ -337,9 +347,7 @@ def cmd_classify(cfg: RunConfig, report: Report) -> int:
 def cmd_export_operator(cfg: RunConfig, report: Report) -> int:
     """Write the full operator in the sparse text format."""
     _measure, _grid, phi, space = _operator_space(cfg, cfg.depth)
-    operator = full(phi, space)
-    for line in export_lines(operator):
-        report.raw(line)
+    report.body = export_lines(full(phi, space))
     return 0
 
 
@@ -418,12 +426,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    text = report.render(args.json)
+    pieces = report.render(args.json)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return code
 
 

@@ -544,6 +544,21 @@ class FockSpace:
             rep[span] = self.basis(alpha).weight
         return level, rep
 
+    def entry_bound(self) -> int:
+        """Upper bound on the stored entries of the full field operator.
+
+        Closed form, with no enumeration: an annihilation row in block
+        beta below the top level holds at most G grid contractions plus
+        ``size(beta)`` promotions, creation stores as many entries as
+        annihilation, and the neutral part is the diagonal.
+        """
+        rows = sum(
+            (span.stop - span.start) * (self.grid.size + alpha.size)
+            for (n, alpha), span in self._slices.items()
+            if n < self.depth
+        )
+        return self.dim + 2 * rows
+
     def compatible(self, other: FockSpace) -> bool:
         return (
             self.grid == other.grid

@@ -34,15 +34,25 @@ point or promoted position.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .fock import BlockBasis, ExtendedFockVector, FockSpace, segment_rank
 from .measures import JumpMeasure, TestFunction
+
+# The builtin SHA-256 module, as the standard library's ``random`` takes its
+# sha512: ``hashlib`` would load OpenSSL into every process for one digest.
+try:
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "FieldOperator",
@@ -53,6 +63,7 @@ __all__ = [
     "vacuum_moments",
     "symmetry_defect",
     "adjoint_defect",
+    "OperatorExport",
     "export_lines",
     "measure_hash",
 ]
@@ -99,6 +110,23 @@ def _check_phi(phi: TestFunction, space: FockSpace) -> None:
 
 
 _ABOVE = np.iinfo(np.intp).max  # above every grid point
+
+# Refuse an operator whose entry bound exceeds this many stored entries.
+# Assembling and exporting one adds 93 (G = 32) to 100 (G = 24) bytes of
+# peak RSS per entry at depth 4, so the cap holds a run near 2 GB; G = 64 at
+# depth 4 (bound 7,930,129) stays inside it.
+_ENTRY_LIMIT = 20_000_000
+_BYTES_PER_ENTRY = 100
+
+
+def _check_size(space: FockSpace) -> None:
+    bound = space.entry_bound()
+    if bound > _ENTRY_LIMIT:
+        raise ValueError(
+            f"operator too large: up to {bound:,} stored entries (about "
+            f"{bound * _BYTES_PER_ENTRY / 2**30:.1f} GB) exceed the limit of "
+            f"{_ENTRY_LIMIT:,}; lower the depth or the grid size"
+        )
 
 
 def _part(basis: BlockBasis, k: int) -> np.ndarray:
@@ -217,6 +245,7 @@ def annihilation(phi: TestFunction, space: FockSpace) -> FieldOperator:
     summed in position order starting from 0.0.
     """
     _check_phi(phi, space)
+    _check_size(space)
     b = space.table.b
     size = space.grid.size
     values = np.array(phi.values)
@@ -399,41 +428,82 @@ def measure_hash(measure: JumpMeasure) -> str:
     text = "|".join(
         f"{s:.17g}:{w:.17g}" for s, w in zip(measure.locations, measure.weights)
     )
-    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+    return sha256(text.encode("ascii")).hexdigest()[:16]
 
 
-def export_lines(op: FieldOperator) -> list[str]:
-    """Sparse text export, one line per nonzero entry.
+_EXPORT_CHUNK = 2048  # entry lines formatted at a time
+
+
+class OperatorExport:
+    """Sparse text export of an operator, one line per nonzero entry.
 
     Block indices and representative tuples are written as their
     positions in the canonical enumerations; the header records every
     ingredient needed to rebuild the space.  Entries are ordered by
     source block, target block, source position, target position.
+
+    The entry order is sorted once, up front; the lines are formatted
+    ``_EXPORT_CHUNK`` entries at a time on every pass, so neither the
+    lines nor the text of the whole export are ever held at once.
+    Iterating yields the lines, :meth:`chunks` the text; both can be
+    repeated.  Within a chunk each distinct value is formatted once.
     """
-    space = op.space
-    lines = [
-        "# levyfock operator export",
-        f"# kind {op.kind}",
-        f"# depth {space.depth}",
-        f"# table-depth {space.table.depth}",
-        f"# grid-points {' '.join(space.grid.points)}",
-        f"# grid-weights {' '.join(f'{w:.17g}' for w in space.grid.weights)}",
-        f"# measure-hash {measure_hash(space.measure)}",
-        f"# phi {' '.join(f'{v:.17g}' for v in op.phi.values)}",
-        "# columns: src_level src_alpha src_tuple dst_level dst_alpha dst_tuple value",
-    ]
-    keys = space.block_keys()
-    labels = [f"{n} {j}" for n in range(space.depth + 1) for j in range(len(space.blocks(n)))]
-    starts = np.array([space.block_slice(*key).start for key in keys])
-    block = np.repeat(np.arange(len(keys)), np.diff(starts, append=space.dim))
-    src, dst = block[op.cols], block[op.rows]
-    order = np.lexsort((op.rows, op.cols, dst, src))
-    for s, si, d, di, value in zip(
-        src[order].tolist(),
-        (op.cols - starts[src])[order].tolist(),
-        dst[order].tolist(),
-        (op.rows - starts[dst])[order].tolist(),
-        op.vals[order].tolist(),
-    ):
-        lines.append(f"{labels[s]} {si} {labels[d]} {di} {value:.17g}")
-    return lines
+
+    def __init__(self, op: FieldOperator):
+        space = op.space
+        self.op = op
+        self.header = [
+            "# levyfock operator export",
+            f"# kind {op.kind}",
+            f"# depth {space.depth}",
+            f"# table-depth {space.table.depth}",
+            f"# grid-points {' '.join(space.grid.points)}",
+            f"# grid-weights {' '.join(f'{w:.17g}' for w in space.grid.weights)}",
+            f"# measure-hash {measure_hash(space.measure)}",
+            f"# phi {' '.join(f'{v:.17g}' for v in op.phi.values)}",
+            "# columns: src_level src_alpha src_tuple dst_level dst_alpha dst_tuple value",
+        ]
+        keys = space.block_keys()
+        self._labels = [
+            f"{n} {j}" for n in range(space.depth + 1) for j in range(len(space.blocks(n)))
+        ]
+        self._starts = np.array([space.block_slice(*key).start for key in keys])
+        self._block = np.repeat(np.arange(len(keys)), np.diff(self._starts, append=space.dim))
+        self._order = np.lexsort(
+            (op.rows, op.cols, self._block[op.rows], self._block[op.cols])
+        )
+
+    def _entry_chunks(self) -> Iterator[list[str]]:
+        op, block, starts, labels = self.op, self._block, self._starts, self._labels
+        for lo in range(0, len(self._order), _EXPORT_CHUNK):
+            take = self._order[lo : lo + _EXPORT_CHUNK]
+            cols, rows = op.cols[take], op.rows[take]
+            src, dst = block[cols], block[rows]
+            distinct, slot = np.unique(op.vals[take], return_inverse=True)
+            texts = [f"{v:.17g}" for v in distinct.tolist()]
+            yield [
+                f"{labels[s]} {si} {labels[d]} {di} {texts[k]}"
+                for s, si, d, di, k in zip(
+                    src.tolist(),
+                    (cols - starts[src]).tolist(),
+                    dst.tolist(),
+                    (rows - starts[dst]).tolist(),
+                    slot.tolist(),
+                )
+            ]
+
+    def __iter__(self) -> Iterator[str]:
+        yield from self.header
+        for lines in self._entry_chunks():
+            yield from lines
+
+    def chunks(self) -> Iterator[str]:
+        """The export's text in pieces, each ending with a newline."""
+        yield "\n".join(self.header) + "\n"
+        for lines in self._entry_chunks():
+            yield "\n".join(lines) + "\n"
+
+
+def export_lines(op: FieldOperator) -> OperatorExport:
+    """Sparse text export of ``op``: see :class:`OperatorExport`."""
+    return OperatorExport(op)

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import levyfock
 from levyfock import cli, jacobi
 from levyfock.cli import load_config, main, parse_config_text
 
@@ -344,6 +350,68 @@ def test_report_bytes_pinned(tmp_path, command, cfg, digest):
     out = tmp_path / "report.txt"
     assert main([command, "--config", cfg_path, "--json", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+PINNED_EXPORTS = {
+    f"{command}-{i}": cfg
+    for i, (command, cfg, _) in enumerate(PINNED_REPORTS)
+    if command == "export-operator"
+}
+
+
+@pytest.mark.parametrize("cfg", PINNED_EXPORTS.values(), ids=PINNED_EXPORTS.keys())
+def test_entry_bound_covers_pinned_exports(tmp_path, cfg):
+    config = load_config(write(tmp_path, "run.cfg", cfg))
+    _measure, _grid, phi, space = cli._operator_space(config, config.depth)
+    assert len(jacobi.full(phi, space).vals) <= space.entry_bound()
+
+
+@pytest.mark.parametrize("with_json", [False, True])
+def test_stdout_matches_out_file(tmp_path, capsys, with_json):
+    path = write(tmp_path, "two.cfg", TWO_POINT_CFG)
+    out = tmp_path / "operator.txt"
+    flags = ["--json"] if with_json else []
+    assert main(["export-operator", "--config", path, *flags]) == 0
+    printed = capsys.readouterr().out
+    assert main(["export-operator", "--config", path, "--out", str(out), *flags]) == 0
+    assert printed.encode("utf-8") == out.read_bytes()
+    lines = printed.splitlines()
+    assert lines[0] == "# levyfock operator export"
+    assert sum(line.startswith("json ") for line in lines) == int(with_json)
+    if with_json:
+        assert lines[-1] == "json {}"
+
+
+def test_oversize_export_exits_2_before_assembly(tmp_path, capsys, monkeypatch):
+    def assembled(self, alpha):
+        raise AssertionError("assembly started")
+
+    monkeypatch.setattr(cli.FockSpace, "basis", assembled)
+    cfg = (
+        THREE_POINT_CFG.replace("-1.3 -0.4 0.6 1.1 2.2", "-1.3 -0.4 0.6 1.1 2.2 3.1")
+        .replace("0.7 1.2 0.5 0.9 1.1", "0.7 1.2 0.5 0.9 1.1 0.8")
+        .replace("weights 0.7 1.1 1.3", "weights " + " ".join(["1.0"] * 64))
+        .replace("values 0.9 -0.4 1.2", "values " + " ".join(["0.5"] * 64))
+    )
+    path = write(tmp_path, "wide.cfg", cfg)
+    out = tmp_path / "operator.txt"
+    assert main(["export-operator", "--config", path, "--out", str(out)]) == 2
+    assert "up to 2,194,689,425 stored entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("_sha256") is None and importlib.util.find_spec("_sha2") is None,
+    reason="no builtin sha256 module",
+)
+def test_cli_import_leaves_openssl_unloaded():
+    src = str(Path(levyfock.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import levyfock.cli, sys; print('_hashlib' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def _counting(monkeypatch, owners, name):

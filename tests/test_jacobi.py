@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from levyfock import (
     symmetry_defect,
     vacuum_moments,
 )
+from levyfock import jacobi
 from levyfock.fock import (
     BlockTensor,
     ExtendedFockVector,
@@ -31,7 +33,7 @@ from levyfock.fock import (
     block_symmetrize,
     symmetric_basis,
 )
-from levyfock.jacobi import measure_hash
+from levyfock.jacobi import FieldOperator, measure_hash
 
 from conftest import (
     poly_expectation,
@@ -536,16 +538,69 @@ class TestSymmetryAndAdjointness:
                 creation(phi, space, wrong)
 
 
+def _per_entry_lines(op):
+    """Entry lines of the export, one ``f"{v:.17g}"`` per entry, ordered by a
+    plain sort of (source block, target block, source, target) positions."""
+    space = op.space
+    starts = [space.block_slice(*key).start for key in space.block_keys()]
+    labels = [f"{n} {j}" for n in range(space.depth + 1) for j in range(len(space.blocks(n)))]
+    entries = []
+    for row, col, value in zip(op.rows.tolist(), op.cols.tolist(), op.vals.tolist()):
+        s = bisect.bisect_right(starts, col) - 1
+        d = bisect.bisect_right(starts, row) - 1
+        line = f"{labels[s]} {col - starts[s]} {labels[d]} {row - starts[d]} {value:.17g}"
+        entries.append(((s, d, col, row), line))
+    return [line for _, line in sorted(entries)]
+
+
 class TestExport:
     def test_header_and_determinism(self, random_setup):
         measure, grid, space, phi = random_setup
         op = full(phi, space)
-        lines = export_lines(op)
+        lines = list(export_lines(op))
         assert lines[0].startswith("#")
         header = "\n".join(line for line in lines if line.startswith("#"))
         assert f"measure-hash {measure_hash(measure)}" in header
         assert f"depth {space.depth}" in header
-        assert export_lines(full(phi, space)) == lines
+        assert list(export_lines(full(phi, space))) == lines
+
+    def test_export_iterates_twice(self, random_setup):
+        # a consumer may read the export before it is written out
+        _, _, space, phi = random_setup
+        export = export_lines(full(phi, space))
+        lines = list(export)
+        assert len(lines) > len(export.header)
+        assert list(export) == lines
+        assert "".join(export.chunks()) == "".join(line + "\n" for line in lines)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 4096])
+    def test_value_text_matches_per_entry_format(self, random_setup, monkeypatch, chunk):
+        # neighbouring doubles, signs, extremes and values repeated in
+        # several chunks, formatted once per distinct value in each chunk
+        monkeypatch.setattr(jacobi, "_EXPORT_CHUNK", chunk)
+        _, _, space, phi = random_setup
+        op = full(phi, space)
+        third = 1.0 / 3.0
+        pattern = [
+            third,
+            np.nextafter(third, 1.0),
+            np.nextafter(third, 0.0),
+            -third,
+            1e-300,
+            -1e-300,
+            1e300,
+            -1e300,
+            5e-324,
+            math.inf,
+            -math.inf,
+            math.nan,
+            third,
+            1e-300,
+        ]
+        vals = np.resize(np.array(pattern), len(op.vals))
+        odd = FieldOperator("full", space, phi, op.rows, op.cols, vals)
+        export = export_lines(odd)
+        assert list(export)[len(export.header) :] == _per_entry_lines(odd)
 
     def test_entries_reconstruct_application(self, nu2, g1):
         space = FockSpace(g1, nu2, stieltjes(nu2, 2), 3)
@@ -566,3 +621,35 @@ class TestExport:
                 image[dst_key][int(dst_t)] += float(value)
         for key in keys:
             assert image[key] == pytest.approx(v[key])
+
+
+class _Assembled(Exception):
+    """Raised where assembly would start enumerating blocks."""
+
+
+class TestSizePreflight:
+    def test_bound_closed_form(self, nu2, g1):
+        # one grid point, depth 2: rows 1 + 1 at levels 0 and 1 (blocks
+        # (), (1)), each with one contraction; the (1) row adds one promotion
+        space = FockSpace(g1, nu2, stieltjes(nu2, 2), 2)
+        assert space.dim == 4
+        assert space.entry_bound() == 4 + 2 * (1 * 1 + 1 * 2)
+
+    def test_oversize_refused_before_assembly(self, monkeypatch):
+        # G = 64 at depth 6: up to 2,194,689,425 entries; a basis request
+        # means assembly started
+        def assembled(self, alpha):
+            raise _Assembled(alpha)
+
+        monkeypatch.setattr(FockSpace, "basis", assembled)
+        rng = np.random.default_rng(3)
+        measure = random_measure(rng, 6)
+        grid = GridSpace(tuple(rng.uniform(0.5, 1.5, 64)))
+        space = FockSpace(grid, measure, stieltjes(measure, 6), 6)
+        phi = TestFunction.constant(grid)
+        assert space.entry_bound() == 2_194_689_425
+        for build in (annihilation, creation, full):
+            with pytest.raises(ValueError, match="up to 2,194,689,425 stored entries"):
+                build(phi, space)
+        with pytest.raises(ValueError, match="stored entries"):
+            vacuum_moments(phi, space, 12)
