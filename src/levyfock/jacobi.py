@@ -446,7 +446,7 @@ class OperatorExport:
     ``_EXPORT_CHUNK`` entries at a time on every pass, so neither the
     lines nor the text of the whole export are ever held at once.
     Iterating yields the lines, :meth:`chunks` the text; both can be
-    repeated.  Within a chunk each distinct value is formatted once.
+    repeated.
     """
 
     def __init__(self, op: FieldOperator):
@@ -479,16 +479,14 @@ class OperatorExport:
             take = self._order[lo : lo + _EXPORT_CHUNK]
             cols, rows = op.cols[take], op.rows[take]
             src, dst = block[cols], block[rows]
-            distinct, slot = np.unique(op.vals[take], return_inverse=True)
-            texts = [f"{v:.17g}" for v in distinct.tolist()]
             yield [
-                f"{labels[s]} {si} {labels[d]} {di} {texts[k]}"
-                for s, si, d, di, k in zip(
+                f"{labels[s]} {si} {labels[d]} {di} {v:.17g}"
+                for s, si, d, di, v in zip(
                     src.tolist(),
                     (cols - starts[src]).tolist(),
                     dst.tolist(),
                     (rows - starts[dst]).tolist(),
-                    slot.tolist(),
+                    op.vals[take].tolist(),
                 )
             ]
 

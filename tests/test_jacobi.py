@@ -576,7 +576,7 @@ class TestExport:
     @pytest.mark.parametrize("chunk", [1, 3, 7, 4096])
     def test_value_text_matches_per_entry_format(self, random_setup, monkeypatch, chunk):
         # neighbouring doubles, signs, extremes and values repeated in
-        # several chunks, formatted once per distinct value in each chunk
+        # several chunks, with chunk boundaries anywhere in the pattern
         monkeypatch.setattr(jacobi, "_EXPORT_CHUNK", chunk)
         _, _, space, phi = random_setup
         op = full(phi, space)
