@@ -7,8 +7,8 @@ text with every number printed to 17 significant digits, plus an
 optional JSON machine block; byte-identical across repeated runs on the
 same configuration.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration or
-validation error.
+Exit codes: 0 success, 1 verification failure, 2 configuration,
+validation or report-write error.
 """
 from __future__ import annotations
 
@@ -220,7 +220,10 @@ def load_config(path: str) -> RunConfig:
     fault_b1 = float(_scalar(run, "fault_b1", "run", default="1"))
     if fault_b1 <= 0.0:
         raise ValueError("fault_b1 scale must be positive")
-    check_symmetry = _scalar(run, "check_symmetry", "run", default="0") not in ("0", "false")
+    symmetry = _scalar(run, "check_symmetry", "run", default="0")
+    if symmetry not in ("0", "1", "false", "true"):
+        raise ValueError(f"check_symmetry must be 0, 1, false or true, not '{symmetry}'")
+    check_symmetry = symmetry in ("1", "true")
 
     cfg = RunConfig(
         measure_type=mtype,
@@ -362,8 +365,7 @@ def cmd_oracle_check(cfg: RunConfig, report: Report) -> int:
     cap is therefore two; raise ``oracle_levels`` only within the
     validity domain of the measure at hand.
     """
-    measure, grid, phi, space = _operator_space(cfg, cfg.depth)
-    del phi  # inner products do not involve the test function
+    measure, grid, _phi, space = _operator_space(cfg, cfg.oracle_levels)
     model = CumulantModel(measure, grid)
     report.add("command", "oracle-check")
     report.add("measure-hash", measure_hash(measure))
@@ -428,8 +430,12 @@ def main(argv: list[str] | None = None) -> int:
 
     pieces = report.render(args.json)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.writelines(pieces)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.writelines(pieces)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.writelines(pieces)
     return code

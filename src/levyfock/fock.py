@@ -13,17 +13,20 @@ level order, each level's blocks in reverse-lexicographic multiplicity
 order, and each block holds its representatives in lexicographic tuple
 order.  The space owns that layout, one slice per block, and sizes the
 slices from the closed-form block dimensions, so building it enumerates
-no representative.  A block basis holds its representatives as one
-integer array, one row each, built from one array of sorted tuples per
-part size.  A representative's position needs no lookup table: it is
-the mixed-radix number, in part-size order, of each segment's
-lexicographic rank, and that rank is a sum of binomial coefficients.
-A plain symmetric level-n tensor is the all-singletons block of level n,
-so it uses that block's basis; its diagonal restriction to any other
-block of level n is one gather.  Summations run in enumeration order, so
-vectors, operators and reports are bit-stable across runs.  All inputs are
-immutable, so concurrent use is safe; results are identical to
-sequential execution.
+no representative.  It also owns the pairing: one weight per flat
+position, built on first use and read by every inner product, defect
+and the creation transpose; spaces on one grid and table share the
+layout of their common levels.  A block basis holds its representatives
+as one integer array, one row each, built from one array of sorted
+tuples per part size.  A representative's position needs no lookup
+table: it is the mixed-radix number, in part-size order, of each
+segment's lexicographic rank, and that rank is a sum of binomial
+coefficients.  A plain symmetric level-n tensor is the all-singletons
+block of level n, so it uses that block's basis; its diagonal
+restriction to any other block of level n is one gather.  Summations
+run in enumeration order, so vectors, operators and reports are
+bit-stable across runs.  All inputs are immutable, so concurrent use is
+safe; results are identical to sequential execution.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -533,16 +536,21 @@ class FockSpace:
     def basis(self, alpha: MultiIndex) -> BlockBasis:
         return block_basis(alpha, self.grid)
 
+    @cached_property
     def flat_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Level weight ``n! * weight(n, alpha)`` and representative weight
         ``mult * sigma`` at every flat position; their product is the
-        squared norm of that position's basis vector."""
+        squared norm of that position's basis vector; built on first use."""
         level = np.empty(self.dim)
         rep = np.empty(self.dim)
         for (n, alpha), span in self._slices.items():
             level[span] = math.factorial(n) * self._weights[(n, alpha)]
             rep[span] = self.basis(alpha).weight
         return level, rep
+
+    def level_start(self, n: int) -> int:
+        """Number of flat positions below level ``n``."""
+        return self.dim if n > self.depth else self.block_slice(n, self._blocks[n][0]).start
 
     def entry_bound(self) -> int:
         """Upper bound on the stored entries of the full field operator.
@@ -616,18 +624,20 @@ def _check_pairing(f: ExtendedFockVector, g: ExtendedFockVector) -> None:
 
 
 def level_inner_product(f: ExtendedFockVector, g: ExtendedFockVector, n: int) -> float:
-    """Single-level inner product: block weights, no factorial level weight."""
+    """Single-level inner product: block weights, no factorial level weight.
+    Summed block by block (level-3 oracle reports are pinned to that order)."""
     _check_pairing(f, g)
+    rep = f.space.flat_weights[1]
     total = 0.0
     for alpha in f.space.blocks(n):
-        basis = f.space.basis(alpha)
         total += f.space.weight(n, alpha) * float(
-            np.dot(basis.weight * f[n, alpha], g[n, alpha])
+            np.dot(rep[f.space.block_slice(n, alpha)] * f[n, alpha], g[n, alpha])
         )
     return total
 
 
 def inner_product(f: ExtendedFockVector, g: ExtendedFockVector) -> float:
-    """Full-space inner product: factorial of the level weights each level."""
-    common = min(f.space.depth, g.space.depth)
-    return sum(math.factorial(n) * level_inner_product(f, g, n) for n in range(common + 1))
+    """Full-space inner product over the common levels: one ``math.fsum``."""
+    _check_pairing(f, g)
+    level, rep = min(f.space, g.space, key=lambda s: s.dim).flat_weights
+    return math.fsum(level * rep * f.values[: len(level)] * g.values[: len(level)])

@@ -41,7 +41,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .fock import BlockBasis, ExtendedFockVector, FockSpace, segment_rank
+from .fock import BlockBasis, ExtendedFockVector, FockSpace, inner_product, segment_rank
 from .measures import JumpMeasure, TestFunction
 
 # The builtin SHA-256 module, as the standard library's ``random`` takes its
@@ -188,7 +188,7 @@ def creation(
         minus = annihilation(phi, space)
     elif minus.kind != "annihilation" or minus.phi != phi or minus.space is not space:
         raise ValueError("minus must be the annihilation part of phi on this space")
-    level, rep = space.flat_weights()
+    level, rep = space.flat_weights
     dst, src = minus.rows, minus.cols
     vals = level[dst] / level[src] * (minus.vals * rep[dst]) / rep[src]
     return FieldOperator("creation", space, phi, src, dst, vals)
@@ -339,7 +339,7 @@ def vacuum_moments(phi: TestFunction, space: FockSpace, k_max: int) -> list[floa
     levels up to ``j``, and the level-``(j + 1)`` part of ``J v_j`` that a
     depth-``j`` truncation drops pairs with zeros of ``v_j``; a depth of
     ``k_max // 2`` therefore gives every order exactly.  Each pairing is one
-    ``math.fsum`` over the elementwise products.
+    :func:`inner_product`.
     """
     if k_max < 0:
         raise ValueError("moment order must be nonnegative")
@@ -349,25 +349,13 @@ def vacuum_moments(phi: TestFunction, space: FockSpace, k_max: int) -> list[floa
             f"{k_max // 2}, have {space.depth}"
         )
     op = full(phi, space)
-    weights = _pairing_weights(space)
     v = space.vacuum()
     out = []
     for k in range(k_max + 1):
         image = op.apply(v) if k % 2 else v
-        out.append(math.fsum(weights * v.values * image.values))
+        out.append(inner_product(v, image))
         v = image
     return out
-
-
-def _below_top(space: FockSpace) -> int:
-    """Number of flat positions strictly below the truncation level."""
-    return space.block_slice(space.depth, space.blocks(space.depth)[0]).start
-
-
-def _pairing_weights(space: FockSpace) -> np.ndarray:
-    """Full-space inner product of each flat basis vector with itself."""
-    level, rep = space.flat_weights()
-    return level * rep
 
 
 def _scaled_gap(keys_a, vals_a, keys_b, vals_b) -> float:
@@ -394,10 +382,10 @@ def symmetry_defect(op: FieldOperator) -> float:
     creation image is dropped, so a symmetric operator must give a
     symmetric matrix up to round-off.
     """
-    low = _below_top(op.space)
+    low = op.space.level_start(op.space.depth)
     inside = (op.rows < low) & (op.cols < low)
     rows, cols = op.rows[inside], op.cols[inside]
-    pairing = _pairing_weights(op.space)[rows] * op.vals[inside]
+    pairing = np.multiply(*op.space.flat_weights)[rows] * op.vals[inside]
     return _scaled_gap(cols * low + rows, pairing, rows * low + cols, pairing)
 
 
@@ -411,8 +399,8 @@ def adjoint_defect(plus: FieldOperator, minus: FieldOperator) -> float:
     space = plus.space
     if minus.space is not space and not space.compatible(minus.space):
         raise ValueError("operators live in different spaces")
-    low, dim = _below_top(space), space.dim
-    weights = _pairing_weights(space)
+    low, dim = space.level_start(space.depth), space.dim
+    weights = np.multiply(*space.flat_weights)
     up = plus.cols < low
     down = minus.rows < low
     return _scaled_gap(

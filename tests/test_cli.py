@@ -89,6 +89,19 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="missing section"):
             load_config(path)
 
+    @pytest.mark.parametrize("value,on", [("0", False), ("false", False), ("1", True), ("true", True)])
+    def test_check_symmetry_switch(self, tmp_path, value, on):
+        path = write(tmp_path, "sym.cfg", NU2_CFG + f"check_symmetry {value}\n")
+        assert load_config(path).check_symmetry is on
+
+    @pytest.mark.parametrize("value", ["False", "yes", "2"])
+    def test_check_symmetry_other_values_exit_2(self, tmp_path, capsys, value):
+        path = write(tmp_path, "sym.cfg", NU2_CFG + f"check_symmetry {value}\n")
+        assert main(["verify-moments", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert f"check_symmetry must be 0, 1, false or true, not '{value}'" in captured.err
+        assert captured.out == ""
+
     def test_max_moment_capped_by_depth(self, tmp_path):
         bad = NU2_CFG.replace("max_moment 6", "max_moment 7")
         path = write(tmp_path, "bad.cfg", bad)
@@ -197,6 +210,20 @@ class TestOracleCheckCommand:
         assert main(["oracle-check", "--config", path]) == 0
         assert "status pass" in capsys.readouterr().out
 
+    def test_builds_only_the_checked_levels(self, tmp_path, capsys, monkeypatch):
+        depths = []
+        init = cli.FockSpace.__init__
+
+        def recorded(self, grid, measure, table, depth):
+            depths.append(depth)
+            init(self, grid, measure, table, depth)
+
+        monkeypatch.setattr(cli.FockSpace, "__init__", recorded)
+        path = write(tmp_path, "nu2.cfg", NU2_CFG)
+        assert main(["oracle-check", "--config", path]) == 0
+        assert "levels 2" in capsys.readouterr().out
+        assert depths == [2]
+
     def test_levels_past_depth_exit_2(self, tmp_path, capsys):
         cfg = NU2_CFG.replace("depth 6\nmax_moment 6", "depth 2") + "oracle_levels 3\n"
         path = write(tmp_path, "nu2.cfg", cfg)
@@ -279,8 +306,10 @@ check_symmetry 1
 # implementation (the multi-point oracle report from the per-pair Gram
 # implementation; the one-point gamma moments and the two-point moments from
 # the half-depth moment pairing; the three-point export and moments from the
-# per-representative assembler); a storage or summation-order change must
-# reproduce them.
+# per-representative assembler; the three-point level-3 oracle report, the
+# only one whose level pairing sums n! > 2 block weights, from the per-block
+# level pairing over the full-depth space); a storage or summation-order
+# change must reproduce them.
 PINNED_REPORTS = [
     (
         "verify-moments",
@@ -337,6 +366,11 @@ PINNED_REPORTS = [
         THREE_POINT_CFG,
         "19e0ce9438657aa9bec4617b7612b768b46b81cac558b308480c91224ec14e75",
     ),
+    (
+        "oracle-check",
+        THREE_POINT_CFG + "oracle_levels 3\ntolerance 1\n",
+        "afc0677c3f0e5af1a7712bd2e755199d3a4af63cdd526fbc5265750e53ff3f0f",
+    ),
 ]
 
 
@@ -380,6 +414,16 @@ def test_stdout_matches_out_file(tmp_path, capsys, with_json):
     assert sum(line.startswith("json ") for line in lines) == int(with_json)
     if with_json:
         assert lines[-1] == "json {}"
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "nu2.cfg", NU2_CFG)
+    out = tmp_path / "missing" / "report.txt"
+    assert main(["verify-moments", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write report: ")
+    assert str(out) in captured.err
+    assert not out.exists()
 
 
 def test_oversize_export_exits_2_before_assembly(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from levyfock import (
     FockSpace,
     GridSpace,
+    JumpMeasure,
     MultiIndex,
     SymmetricTensor,
     block_symmetrize,
@@ -278,6 +279,42 @@ class TestInnerProduct:
         u = ExtendedFockVector(space, rng.normal(0, 1, space.dim))
         v = ExtendedFockVector(space, rng.normal(0, 1, space.dim))
         assert inner_product(u, v) == pytest.approx(inner_product(v, u), rel=1e-12)
+
+    def test_level_pairing_reads_the_weight_table_once(self, nu2, monkeypatch):
+        grid = GridSpace((0.7, 1.1, 1.3))
+        space = FockSpace(grid, nu2, stieltjes(nu2, 2), 4)
+        v = space.embed_symmetric(SymmetricTensor.from_function(grid, 3, lambda r: sum(r) + 1.0))
+        calls = []
+        basis = FockSpace.basis
+
+        def counted(self, alpha):
+            calls.append(alpha)
+            return basis(self, alpha)
+
+        monkeypatch.setattr(FockSpace, "basis", counted)
+        first = level_inner_product(v, v, 3)
+        built = len(calls)
+        for _ in range(3):
+            assert level_inner_product(v, v, 3) == first
+        assert len(calls) == built
+        assert space.flat_weights is space.flat_weights
+
+    def test_spaces_of_different_depth_pair_over_common_levels(self):
+        grid = GridSpace((0.7, 1.1, 1.3))
+        measure = JumpMeasure((-1.3, -0.4, 0.6, 1.1, 2.2), (0.7, 1.2, 0.5, 0.9, 1.1))
+        table = stieltjes(measure, 4)
+        shallow, deep = FockSpace(grid, measure, table, 2), FockSpace(grid, measure, table, 4)
+        rng = np.random.default_rng(17)
+        u = ExtendedFockVector(shallow, rng.normal(0, 1, shallow.dim))
+        v = ExtendedFockVector(deep, rng.normal(0, 1, deep.dim))
+        cut = ExtendedFockVector(shallow, v.values[: shallow.dim])
+        assert inner_product(u, v) == inner_product(u, cut)
+        assert inner_product(v, u) == inner_product(cut, u)
+        w = ExtendedFockVector(deep, rng.normal(0, 1, deep.dim))
+        by_level = sum(
+            math.factorial(n) * level_inner_product(v, w, n) for n in range(deep.depth + 1)
+        )
+        assert by_level == pytest.approx(inner_product(v, w), rel=1e-13)
 
     def test_grid_mismatch_rejected(self, nu2, g1):
         table = stieltjes(nu2, 2)
