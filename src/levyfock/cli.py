@@ -2,10 +2,12 @@
 
 Configurations are flat sectioned text (``[measure]``, ``[grid]``,
 ``[phi]``, ``[run]``) with one key per line and arrays as
-whitespace-separated numbers.  Reports are line-oriented ``key value``
-text with every number printed to 17 significant digits, plus an
-optional JSON machine block; byte-identical across repeated runs on the
-same configuration.
+whitespace-separated numbers; an unknown section, an unknown key or a
+repeated key is an error.  ``load_config`` builds the measure, the grid
+and the test function once, after every other check, and every command
+reads those objects.  Reports are line-oriented ``key value`` text with
+every number printed to 17 significant digits, plus an optional JSON
+machine block; byte-identical across repeated runs on one configuration.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration,
 validation or report-write error.
@@ -16,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -92,15 +94,28 @@ def parse_config_text(text: str) -> dict[str, dict[str, list[str]]]:
             continue
         if current is None:
             raise ValueError(f"config line {lineno}: key outside any section")
-        parts = line.split()
-        current[parts[0]] = parts[1:]
+        key, *values = line.split()
+        if key in current:
+            raise ValueError(f"config line {lineno}: repeated key '{key}' in [{name}]")
+        current[key] = values
     return sections
+
+
+# The keys each section accepts; [measure]'s depend on its type.
+_KEYS = {
+    "measure": {"inline": ("type", "locations", "weights"), "gamma": ("type", "order")},
+    "grid": ("weights",),
+    "phi": ("values",),
+    "run": ("depth", "max_moment", "tolerance", "oracle_levels", "fault_b1", "check_symmetry"),
+}
 
 
 @dataclass
 class RunConfig:
-    """Validated run configuration.
+    """Validated run configuration, holding the built measure and test function.
 
+    ``load_config`` builds each once; ``measure()``, ``grid()`` (the test
+    function's grid) and ``phi()`` hand the same objects to every caller.
     ``depth`` is the workhorse truncation: the recurrence-table depth for
     table-level commands, the operator truncation for export, the oracle
     and the defect checks (where the table depth is capped at the atom
@@ -108,37 +123,26 @@ class RunConfig:
     cap on ``max_moment``, whose moments need only depth ``max_moment // 2``.
     """
 
-    measure_type: str
-    locations: tuple[float, ...]
-    measure_weights: tuple[float, ...]
-    gamma_order: int
-    grid_weights: tuple[float, ...]
-    phi_values: tuple[float, ...]
+    jump_measure: JumpMeasure
+    test_function: TestFunction
     depth: int
     max_moment: int
     tolerance: float
     oracle_levels: int
     fault_b1: float
     check_symmetry: bool
-    _measure: JumpMeasure | None = field(default=None, init=False, repr=False, compare=False)
 
     def measure(self) -> JumpMeasure:
-        """The jump measure, built on the first call and shared after it."""
-        if self._measure is None:
-            if self.measure_type == "gamma":
-                self._measure = gauss_laguerre_gamma(self.gamma_order)
-            else:
-                self._measure = JumpMeasure(self.locations, self.measure_weights)
-        return self._measure
+        return self.jump_measure
 
     def grid(self) -> GridSpace:
-        return GridSpace(self.grid_weights)
+        return self.test_function.grid
 
-    def phi(self, grid: GridSpace) -> TestFunction:
-        return TestFunction(grid, self.phi_values)
+    def phi(self) -> TestFunction:
+        return self.test_function
 
-    def table(self, measure: JumpMeasure, depth: int) -> RecurrenceTable:
-        table = stieltjes(measure, depth)
+    def table(self, depth: int) -> RecurrenceTable:
+        table = stieltjes(self.jump_measure, depth)
         if self.fault_b1 != 1.0:
             if table.depth < 2:
                 raise ValueError("fault injection needs a table of depth at least 2")
@@ -153,11 +157,9 @@ def _require(section: dict, key: str, where: str) -> list[str]:
 
 
 def _scalar(section: dict, key: str, where: str, default=None) -> str:
-    if key not in section:
-        if default is None:
-            raise ValueError(f"missing key '{key}' in [{where}]")
+    if key not in section and default is not None:
         return default
-    values = section[key]
+    values = _require(section, key, where)
     if len(values) != 1:
         raise ValueError(f"key '{key}' in [{where}] expects one value")
     return values[0]
@@ -170,31 +172,36 @@ def _tolerance(value: float) -> float:
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse and validate a configuration file."""
+    """Parse and validate a configuration file, then build the measure, the
+    grid and the test function, in that order, after every other check."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             sections = parse_config_text(handle.read())
     except OSError as exc:
         raise ValueError(f"cannot read config: {exc}") from exc
 
-    for name in ("measure", "grid", "phi", "run"):
+    for name in _KEYS:
         if name not in sections:
             raise ValueError(f"missing section [{name}]")
 
     measure = sections["measure"]
     mtype = _scalar(measure, "type", "measure")
-    locations: tuple[float, ...] = ()
-    weights: tuple[float, ...] = ()
-    order = 0
+    if mtype not in _KEYS["measure"]:
+        raise ValueError(f"unknown measure type '{mtype}' (want inline or gamma)")
+    allowed = dict(_KEYS, measure=_KEYS["measure"][mtype])
+    for name, section in sections.items():
+        if name not in allowed:
+            raise ValueError(f"unknown section [{name}]")
+        for key in section:
+            if key not in allowed[name]:
+                raise ValueError(f"unknown key '{key}' in [{name}]")
     if mtype == "inline":
         locations = tuple(float(v) for v in _require(measure, "locations", "measure"))
         weights = tuple(float(v) for v in _require(measure, "weights", "measure"))
-    elif mtype == "gamma":
+    else:
         order = int(_scalar(measure, "order", "measure"))
         if order < 1:
             raise ValueError("gamma quadrature order must be at least 1")
-    else:
-        raise ValueError(f"unknown measure type '{mtype}' (want inline or gamma)")
 
     grid_weights = tuple(float(v) for v in _require(sections["grid"], "weights", "grid"))
     phi_values = tuple(float(v) for v in _require(sections["phi"], "values", "phi"))
@@ -225,13 +232,12 @@ def load_config(path: str) -> RunConfig:
         raise ValueError(f"check_symmetry must be 0, 1, false or true, not '{symmetry}'")
     check_symmetry = symmetry in ("1", "true")
 
-    cfg = RunConfig(
-        measure_type=mtype,
-        locations=locations,
-        measure_weights=weights,
-        gamma_order=order,
-        grid_weights=grid_weights,
-        phi_values=phi_values,
+    jump_measure = (
+        gauss_laguerre_gamma(order) if mtype == "gamma" else JumpMeasure(locations, weights)
+    )
+    return RunConfig(
+        jump_measure=jump_measure,
+        test_function=TestFunction(GridSpace(grid_weights), phi_values),
         depth=depth,
         max_moment=max_moment,
         tolerance=tolerance,
@@ -239,15 +245,12 @@ def load_config(path: str) -> RunConfig:
         fault_b1=fault_b1,
         check_symmetry=check_symmetry,
     )
-    cfg.measure()
-    cfg.phi(cfg.grid())
-    return cfg
 
 
 def cmd_recurrence(cfg: RunConfig, report: Report) -> int:
     """Print the recurrence table at the configured depth, fixed columns."""
     measure = cfg.measure()
-    table = cfg.table(measure, cfg.depth)
+    table = cfg.table(cfg.depth)
     report.add("command", "recurrence")
     report.add("atoms", measure.atom_count)
     report.add("depth", table.depth)
@@ -264,19 +267,15 @@ def cmd_recurrence(cfg: RunConfig, report: Report) -> int:
     return 0
 
 
-def _operator_space(cfg: RunConfig, depth: int):
-    """Measure, grid, test function and a truncation of the given depth.
+def _operator_space(cfg: RunConfig, depth: int) -> FockSpace:
+    """The configuration's Fock space truncated at the given depth.
 
     The recurrence table follows ``cfg.depth`` whatever the truncation
     depth, so every space built from one configuration shares it.
     """
     measure = cfg.measure()
-    grid = cfg.grid()
-    phi = cfg.phi(grid)
-    table_depth = min(cfg.depth, measure.atom_count)
-    table = cfg.table(measure, table_depth)
-    space = FockSpace(grid, measure, table, depth)
-    return measure, grid, phi, space
+    table = cfg.table(min(cfg.depth, measure.atom_count))
+    return FockSpace(cfg.grid(), measure, table, depth)
 
 
 def cmd_verify_moments(cfg: RunConfig, report: Report) -> int:
@@ -285,7 +284,8 @@ def cmd_verify_moments(cfg: RunConfig, report: Report) -> int:
     The moments need only a truncation of depth ``max_moment // 2`` (see
     :func:`vacuum_moments`); the defect checks run at the configured depth.
     """
-    measure, grid, phi, space = _operator_space(cfg, cfg.max_moment // 2)
+    measure, grid, phi = cfg.measure(), cfg.grid(), cfg.phi()
+    space = _operator_space(cfg, cfg.max_moment // 2)
     operator_side = vacuum_moments(phi, space, cfg.max_moment)
     model = CumulantModel(measure, grid)
     oracle_side = [1.0]
@@ -310,7 +310,7 @@ def cmd_verify_moments(cfg: RunConfig, report: Report) -> int:
     if cfg.check_symmetry:
         deep = FockSpace(grid, measure, space.table, cfg.depth)
         minus = annihilation(phi, deep)
-        pair_defect = adjoint_defect(creation(phi, deep, minus), minus)
+        pair_defect = adjoint_defect(creation(minus), minus)
         neutral_defect = symmetry_defect(neutral(phi, deep))
         report.add("adjoint-defect", pair_defect)
         report.add("neutral-symmetry-defect", neutral_defect)
@@ -328,7 +328,7 @@ def cmd_classify(cfg: RunConfig, report: Report) -> int:
     measure = cfg.measure()
     if cfg.depth < 3:
         raise ValueError("classification needs depth at least 3")
-    table = cfg.table(measure, cfg.depth)
+    table = cfg.table(cfg.depth)
     params = detect(table, cfg.tolerance)
     report.add("command", "classify")
     report.add("measure-hash", measure_hash(measure))
@@ -349,8 +349,7 @@ def cmd_classify(cfg: RunConfig, report: Report) -> int:
 
 def cmd_export_operator(cfg: RunConfig, report: Report) -> int:
     """Write the full operator in the sparse text format."""
-    _measure, _grid, phi, space = _operator_space(cfg, cfg.depth)
-    report.body = export_lines(full(phi, space))
+    report.body = export_lines(full(cfg.phi(), _operator_space(cfg, cfg.depth)))
     return 0
 
 
@@ -365,7 +364,8 @@ def cmd_oracle_check(cfg: RunConfig, report: Report) -> int:
     cap is therefore two; raise ``oracle_levels`` only within the
     validity domain of the measure at hand.
     """
-    measure, grid, _phi, space = _operator_space(cfg, cfg.oracle_levels)
+    measure, grid = cfg.measure(), cfg.grid()
+    space = _operator_space(cfg, cfg.oracle_levels)
     model = CumulantModel(measure, grid)
     report.add("command", "oracle-check")
     report.add("measure-hash", measure_hash(measure))

@@ -521,6 +521,8 @@ class FockSpace:
         self.dim = stop
 
     def blocks(self, n: int) -> tuple[MultiIndex, ...]:
+        if not 0 <= n <= self.depth:
+            raise ValueError(f"level {n} outside the truncation of depth {self.depth}")
         return self._blocks[n]
 
     def block_keys(self) -> list[tuple[int, MultiIndex]]:
@@ -550,7 +552,7 @@ class FockSpace:
 
     def level_start(self, n: int) -> int:
         """Number of flat positions below level ``n``."""
-        return self.dim if n > self.depth else self.block_slice(n, self._blocks[n][0]).start
+        return self.dim if n > self.depth else self.block_slice(n, self.blocks(n)[0]).start
 
     def entry_bound(self) -> int:
         """Upper bound on the stored entries of the full field operator.
@@ -627,6 +629,7 @@ def level_inner_product(f: ExtendedFockVector, g: ExtendedFockVector, n: int) ->
     """Single-level inner product: block weights, no factorial level weight.
     Summed block by block (level-3 oracle reports are pinned to that order)."""
     _check_pairing(f, g)
+    g.space.blocks(n)  # the level must lie in both truncations
     rep = f.space.flat_weights[1]
     total = 0.0
     for alpha in f.space.blocks(n):

@@ -161,9 +161,7 @@ def _removed(segment: np.ndarray) -> np.ndarray:
     return out
 
 
-def creation(
-    phi: TestFunction, space: FockSpace, minus: FieldOperator | None = None
-) -> FieldOperator:
+def creation(minus: FieldOperator) -> FieldOperator:
     """Creation part: extension of a level by the test function.
 
     On plainly symmetric inputs this is the symmetrized tensor product
@@ -179,19 +177,16 @@ def creation(
     An annihilation entry ``m`` from source s to target d becomes
     ``(c * (m * w_d)) / w_s`` from d to s, with ``c = (d! W_d) / (s! W_s)``
     the level-times-block weight ratio and ``w`` the representative
-    weights.  ``minus``, the annihilation part of the same test function
-    on the same space, is transposed as given instead of being assembled
-    again.
+    weights.  The test function and the space are those of ``minus``, the
+    annihilation part this transposes.
     """
-    _check_phi(phi, space)
-    if minus is None:
-        minus = annihilation(phi, space)
-    elif minus.kind != "annihilation" or minus.phi != phi or minus.space is not space:
-        raise ValueError("minus must be the annihilation part of phi on this space")
+    if minus.kind != "annihilation":
+        raise ValueError(f"minus must be an annihilation part, not a {minus.kind} part")
+    space = minus.space
     level, rep = space.flat_weights
     dst, src = minus.rows, minus.cols
     vals = level[dst] / level[src] * (minus.vals * rep[dst]) / rep[src]
-    return FieldOperator("creation", space, phi, src, dst, vals)
+    return FieldOperator("creation", space, minus.phi, src, dst, vals)
 
 
 def neutral(phi: TestFunction, space: FockSpace) -> FieldOperator:
@@ -318,7 +313,7 @@ def full(phi: TestFunction, space: FockSpace) -> FieldOperator:
     (row, column) pair and their triplets simply concatenate.
     """
     minus = annihilation(phi, space)
-    parts = (creation(phi, space, minus), neutral(phi, space), minus)
+    parts = (creation(minus), neutral(phi, space), minus)
     return FieldOperator(
         "full",
         space,

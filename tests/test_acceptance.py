@@ -137,7 +137,8 @@ def test_criterion_4_adjointness_and_symmetry():
     grid = GridSpace(tuple(rng.uniform(0.4, 2.0, 3)))
     phi = TestFunction(grid, tuple(rng.normal(0.0, 1.0, 3)))
     space = FockSpace(grid, measure, stieltjes(measure, 5), 4)
-    pair_defect = adjoint_defect(creation(phi, space), annihilation(phi, space))
+    minus = annihilation(phi, space)
+    pair_defect = adjoint_defect(creation(minus), minus)
     neutral_defect = symmetry_defect(neutral(phi, space))
     assert pair_defect <= 1e-10
     assert neutral_defect <= 1e-10

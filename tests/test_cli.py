@@ -396,8 +396,8 @@ PINNED_EXPORTS = {
 @pytest.mark.parametrize("cfg", PINNED_EXPORTS.values(), ids=PINNED_EXPORTS.keys())
 def test_entry_bound_covers_pinned_exports(tmp_path, cfg):
     config = load_config(write(tmp_path, "run.cfg", cfg))
-    _measure, _grid, phi, space = cli._operator_space(config, config.depth)
-    assert len(jacobi.full(phi, space).vals) <= space.entry_bound()
+    space = cli._operator_space(config, config.depth)
+    assert len(jacobi.full(config.phi(), space).vals) <= space.entry_bound()
 
 
 @pytest.mark.parametrize("with_json", [False, True])
@@ -482,6 +482,13 @@ def test_defect_check_assembles_deep_annihilation_once(tmp_path, monkeypatch, ca
     assert [space.depth for _phi, space in calls] == [2, 4]
 
 
+def test_config_holds_each_input_once(tmp_path):
+    cfg = load_config(write(tmp_path, "nu2.cfg", NU2_CFG))
+    assert cfg.measure() is cfg.measure()
+    assert cfg.grid() is cfg.grid()
+    assert cfg.phi().grid is cfg.grid()
+
+
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_measure_built_once_per_command(tmp_path, monkeypatch, capsys, command):
     calls = _counting(monkeypatch, [cli], "gauss_laguerre_gamma")
@@ -532,6 +539,56 @@ class TestNonFiniteRejected:
         path = write(tmp_path, "bad.cfg", NU2_CFG.replace(old, new))
         assert main(["verify-moments", "--config", path]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edits,error",
+        [
+            # the run keys are checked first, then the measure, the grid
+            # and the test function are built in that order
+            (
+                [("locations -1 1", "locations -1 inf"), ("weights 2.0", "weights inf")],
+                "atom locations and weights must be finite",
+            ),
+            (
+                [("weights 2.0", "weights inf"), ("values 1.0", "values nan")],
+                "grid weights must be finite",
+            ),
+            (
+                [("locations -1 1", "locations -1 inf"), ("depth 6", "depth 0")],
+                "depth must be at least 1",
+            ),
+        ],
+        ids=["atom-before-grid", "grid-before-phi", "depth-before-atom"],
+    )
+    def test_first_error_reported(self, tmp_path, capsys, edits, error):
+        text = NU2_CFG
+        for old, new in edits:
+            text = text.replace(old, new)
+        path = write(tmp_path, "bad.cfg", text)
+        assert main(["verify-moments", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        (NU2_CFG + "check_symetry 1\n", "unknown key 'check_symetry' in [run]"),
+        (NU2_CFG + "tolerence 1e-30\n", "unknown key 'tolerence' in [run]"),
+        (NU2_CFG + "[extra]\nnote 1\n", "unknown section [extra]"),
+        (NU2_CFG.replace("type inline", "type inline\norder 40"), "unknown key 'order' in [measure]"),
+        (GAMMA_CFG.replace("order 40", "order 40\nweights 1"), "unknown key 'weights' in [measure]"),
+        (NU2_CFG.replace("values 1.0", "value 1.0\nvalues 1.0"), "unknown key 'value' in [phi]"),
+        (NU2_CFG + "depth 2\n", "config line 15: repeated key 'depth' in [run]"),
+        (NU2_CFG + "[grid]\nweights 1.0\n", "config line 16: repeated key 'weights' in [grid]"),
+    ],
+    ids=["typo", "tolerence", "section", "inline-order", "gamma-weights", "phi", "depth", "grid"],
+)
+def test_ignored_config_text_rejected(tmp_path, capsys, text, error):
+    path = write(tmp_path, "run.cfg", text)
+    assert main(["verify-moments", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
 
 
 class TestNanVerdicts:

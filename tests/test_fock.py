@@ -337,6 +337,18 @@ class TestFockSpace:
         # level six still exists, spread over parts of size at most two
         assert len(space.blocks(6)) == 4
 
+    def test_level_outside_truncation_named(self, nu2, g1):
+        table = stieltjes(nu2, 2)
+        shallow = FockSpace(g1, nu2, table, 2).vacuum()
+        deep = FockSpace(g1, nu2, table, 3).vacuum()
+        for f, g, n in [(shallow, shallow, 3), (shallow, shallow, -1), (deep, shallow, 3)]:
+            with pytest.raises(ValueError, match=f"level {n} outside the truncation of depth 2"):
+                level_inner_product(f, g, n)
+        with pytest.raises(ValueError, match="level -1 outside the truncation of depth 2"):
+            shallow.space.level_start(-1)
+        assert shallow.space.level_start(3) == shallow.space.dim
+        assert level_inner_product(deep, shallow, 0) == 1.0
+
     @pytest.mark.parametrize("grid_size,depth", [(1, 8), (2, 5), (4, 4)])
     def test_closed_form_layout_matches_enumeration(self, gamma40, grid_size, depth):
         grid = GridSpace((1.0,) * grid_size)

@@ -64,7 +64,7 @@ def random_setup():
 class TestCreation:
     def test_vacuum_maps_to_test_function(self, random_setup):
         _, grid, space, phi = random_setup
-        image = creation(phi, space).apply(space.vacuum())
+        image = creation(annihilation(phi, space)).apply(space.vacuum())
         assert image[1, MultiIndex((1,))] == pytest.approx(phi.values)
 
     def test_level_one_worked_example(self, nu2, g1):
@@ -72,7 +72,7 @@ class TestCreation:
         space = FockSpace(grid, nu2, stieltjes(nu2, 2), 3)
         phi = TestFunction(grid, (0.9, -0.4))
         psi = SymmetricTensor(grid, 1, np.array([2.0, 0.5]))
-        image = creation(phi, space).apply(space.embed_symmetric(psi))
+        image = creation(annihilation(phi, space)).apply(space.embed_symmetric(psi))
         pair_block = BlockTensor(grid, MultiIndex((2,)), image[2, MultiIndex((2,))])
         for x in range(2):
             for y in range(2):
@@ -85,12 +85,12 @@ class TestCreation:
     def test_vacuum_image_norm(self, nu2, g1):
         space = FockSpace(g1, nu2, stieltjes(nu2, 2), 2)
         phi = TestFunction.constant(g1)
-        image = creation(phi, space).apply(space.vacuum())
+        image = creation(annihilation(phi, space)).apply(space.vacuum())
         assert inner_product(image, image) == pytest.approx(2.0)
 
     def test_creation_norm_identity(self, random_setup):
         measure, grid, space, phi = random_setup
-        image = creation(phi, space).apply(space.vacuum())
+        image = creation(annihilation(phi, space)).apply(space.vacuum())
         expected = measure.total_mass() * math.fsum(
             w * v * v for w, v in zip(grid.weights, phi.values)
         )
@@ -102,7 +102,7 @@ class TestCreation:
         # level three)
         _, grid, space, phi = random_setup
         rng = np.random.default_rng(0)
-        op = creation(phi, space)
+        op = creation(annihilation(phi, space))
         for n in range(3):
             f = SymmetricTensor(grid, n, rng.normal(0, 1, symmetric_basis(n, grid).dim))
             image = op.apply(space.embed_symmetric(f))
@@ -114,7 +114,7 @@ class TestCreation:
 
     def test_top_level_images_are_dropped(self, random_setup):
         _, _, space, phi = random_setup
-        op = creation(phi, space)
+        op = creation(annihilation(phi, space))
         top = space.block_slice(space.depth, space.blocks(space.depth)[0]).start
         assert np.all(op.cols < top)
 
@@ -367,7 +367,8 @@ class TestFullOperator:
     def test_decomposition(self, random_setup):
         _, _, space, phi = random_setup
         whole = full(phi, space)
-        parts = [creation(phi, space), neutral(phi, space), annihilation(phi, space)]
+        minus = annihilation(phi, space)
+        parts = [creation(minus), neutral(phi, space), minus]
         rng = np.random.default_rng(4)
         v = ExtendedFockVector(space, rng.normal(0, 1, space.dim))
         combined = parts[0].apply(v) + parts[1].apply(v) + parts[2].apply(v)
@@ -502,11 +503,12 @@ class TestSymmetryAndAdjointness:
         expected = np.max(np.abs(pairing - pairing.T)) / max(np.max(np.abs(pairing)), 1e-300)
         assert symmetry_defect(full(phi, space)) == expected
 
-        raised = dense_pairing(creation(phi, space))[:low]
-        lowered = dense_pairing(annihilation(phi, space)).T[:low]
+        minus = annihilation(phi, space)
+        raised = dense_pairing(creation(minus))[:low]
+        lowered = dense_pairing(minus).T[:low]
         scale = max(np.max(np.abs(raised)), np.max(np.abs(lowered)), 1e-300)
         expected = np.max(np.abs(raised - lowered)) / scale
-        assert adjoint_defect(creation(phi, space), annihilation(phi, space)) == expected
+        assert adjoint_defect(creation(minus), minus) == expected
 
     def test_neutral_is_symmetric(self, random_setup):
         _, _, space, phi = random_setup
@@ -518,24 +520,15 @@ class TestSymmetryAndAdjointness:
 
     def test_creation_annihilation_adjoint_pair(self, random_setup):
         _, _, space, phi = random_setup
-        defect = adjoint_defect(creation(phi, space), annihilation(phi, space))
+        minus = annihilation(phi, space)
+        defect = adjoint_defect(creation(minus), minus)
         assert defect <= 1e-10
 
-    def test_creation_from_given_annihilation(self, random_setup):
-        _, grid, space, phi = random_setup
-        built = creation(phi, space)
-        given = creation(phi, space, annihilation(phi, space))
-        for field in ("rows", "cols", "vals"):
-            assert getattr(given, field).tobytes() == getattr(built, field).tobytes()
-        other = TestFunction(grid, tuple(2.0 * v for v in phi.values))
-        twin = FockSpace(grid, space.measure, space.table, space.depth)
-        for wrong in (
-            neutral(phi, space),
-            annihilation(other, space),
-            annihilation(phi, twin),
-        ):
+    def test_creation_rejects_non_annihilation(self, random_setup):
+        _, _, space, phi = random_setup
+        for wrong in (neutral(phi, space), full(phi, space)):
             with pytest.raises(ValueError, match="annihilation part"):
-                creation(phi, space, wrong)
+                creation(wrong)
 
 
 def _per_entry_lines(op):
@@ -648,7 +641,7 @@ class TestSizePreflight:
         space = FockSpace(grid, measure, stieltjes(measure, 6), 6)
         phi = TestFunction.constant(grid)
         assert space.entry_bound() == 2_194_689_425
-        for build in (annihilation, creation, full):
+        for build in (annihilation, full):
             with pytest.raises(ValueError, match="up to 2,194,689,425 stored entries"):
                 build(phi, space)
         with pytest.raises(ValueError, match="stored entries"):
