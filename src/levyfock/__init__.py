@@ -6,12 +6,10 @@ the extended Fock space over a quadrature grid, and verify the assembly
 against cumulant-based moments and a brute-force chaos oracle.
 """
 from .fock import (
-    BlockTensor,
     ExtendedFockVector,
     FockSpace,
     MultiIndex,
     SymmetricTensor,
-    block_symmetrize,
     block_weight,
     diagonal_restriction,
     inner_product,
@@ -30,12 +28,11 @@ from .jacobi import (
     vacuum_moments,
 )
 from .measures import GridSpace, JumpMeasure, TestFunction, gauss_laguerre_gamma
-from .meixner import MeixnerParameters, detect, meixner_annihilation, meixner_neutral
+from .meixner import MeixnerParameters, detect
 from .moments import CumulantModel, chaos_inner_product, moments_from_cumulants
 from .orthopoly import RecurrenceTable, stieltjes
 
 __all__ = [
-    "BlockTensor",
     "CumulantModel",
     "ExtendedFockVector",
     "FieldOperator",
@@ -49,7 +46,6 @@ __all__ = [
     "TestFunction",
     "adjoint_defect",
     "annihilation",
-    "block_symmetrize",
     "block_weight",
     "chaos_inner_product",
     "creation",
@@ -60,8 +56,6 @@ __all__ = [
     "gauss_laguerre_gamma",
     "inner_product",
     "level_inner_product",
-    "meixner_annihilation",
-    "meixner_neutral",
     "moments_from_cumulants",
     "neutral",
     "partitions",

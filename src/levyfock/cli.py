@@ -150,19 +150,28 @@ class RunConfig:
         return table
 
 
-def _require(section: dict, key: str, where: str) -> list[str]:
+def _number(text: str, kind: type, key: str, where: str):
+    """``kind(text)``; a conversion error names the key and the section."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"key '{key}' in [{where}] expects {noun}, not '{text}'") from None
+
+
+def _require(section: dict, key: str, where: str, kind: type = str) -> list:
     if key not in section:
         raise ValueError(f"missing key '{key}' in [{where}]")
-    return section[key]
+    return [_number(v, kind, key, where) for v in section[key]]
 
 
-def _scalar(section: dict, key: str, where: str, default=None) -> str:
+def _scalar(section: dict, key: str, where: str, default=None, kind: type = str):
     if key not in section and default is not None:
         return default
     values = _require(section, key, where)
     if len(values) != 1:
         raise ValueError(f"key '{key}' in [{where}] expects one value")
-    return values[0]
+    return _number(values[0], kind, key, where)
 
 
 def _tolerance(value: float) -> float:
@@ -196,21 +205,21 @@ def load_config(path: str) -> RunConfig:
             if key not in allowed[name]:
                 raise ValueError(f"unknown key '{key}' in [{name}]")
     if mtype == "inline":
-        locations = tuple(float(v) for v in _require(measure, "locations", "measure"))
-        weights = tuple(float(v) for v in _require(measure, "weights", "measure"))
+        locations = _require(measure, "locations", "measure", float)
+        weights = _require(measure, "weights", "measure", float)
     else:
-        order = int(_scalar(measure, "order", "measure"))
+        order = _scalar(measure, "order", "measure", kind=int)
         if order < 1:
             raise ValueError("gamma quadrature order must be at least 1")
 
-    grid_weights = tuple(float(v) for v in _require(sections["grid"], "weights", "grid"))
-    phi_values = tuple(float(v) for v in _require(sections["phi"], "values", "phi"))
+    grid_weights = _require(sections["grid"], "weights", "grid", float)
+    phi_values = _require(sections["phi"], "values", "phi", float)
 
     run = sections["run"]
-    depth = int(_scalar(run, "depth", "run"))
+    depth = _scalar(run, "depth", "run", kind=int)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    max_moment = int(_scalar(run, "max_moment", "run", default=str(depth)))
+    max_moment = _scalar(run, "max_moment", "run", default=depth, kind=int)
     if max_moment < 0:
         raise ValueError("max_moment must be nonnegative")
     if max_moment > depth:
@@ -218,15 +227,17 @@ def load_config(path: str) -> RunConfig:
             f"max_moment {max_moment} exceeds depth {depth}: raise depth to "
             "query higher moments"
         )
-    tolerance = _tolerance(float(_scalar(run, "tolerance", "run", default="1e-8")))
-    oracle_levels = int(_scalar(run, "oracle_levels", "run", default=str(min(2, depth))))
+    tolerance = _tolerance(_scalar(run, "tolerance", "run", default=1e-8, kind=float))
+    oracle_levels = _scalar(run, "oracle_levels", "run", default=min(2, depth), kind=int)
     if oracle_levels < 0:
         raise ValueError("oracle_levels must be nonnegative")
     if oracle_levels > depth:
         raise ValueError(f"oracle_levels {oracle_levels} exceeds depth {depth}")
-    fault_b1 = float(_scalar(run, "fault_b1", "run", default="1"))
+    fault_b1 = _scalar(run, "fault_b1", "run", default=1.0, kind=float)
     if fault_b1 <= 0.0:
         raise ValueError("fault_b1 scale must be positive")
+    if not math.isfinite(fault_b1):
+        raise ValueError(f"fault_b1 scale must be finite, not {fault_b1}")
     symmetry = _scalar(run, "check_symmetry", "run", default="0")
     if symmetry not in ("0", "1", "false", "true"):
         raise ValueError(f"check_symmetry must be 0, 1, false or true, not '{symmetry}'")

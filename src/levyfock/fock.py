@@ -21,9 +21,11 @@ as one integer array, one row each, built from one array of sorted
 tuples per part size.  A representative's position needs no lookup
 table: it is the mixed-radix number, in part-size order, of each
 segment's lexicographic rank, and that rank is a sum of binomial
-coefficients.  A plain symmetric level-n tensor is the all-singletons
-block of level n, so it uses that block's basis; its diagonal
-restriction to any other block of level n is one gather.  Summations
+coefficients, so whole arrays of tuples are ranked at once.  Block values
+are plain arrays in that order (a vector's ``v[n, alpha]`` view).  A
+plain symmetric level-n tensor is the all-singletons block of level n,
+so it uses that block's basis; its diagonal restriction to any other
+block of level n is one gather.  Summations
 run in enumeration order, so vectors, operators and reports are
 bit-stable across runs.  All inputs are immutable, so concurrent use is
 safe; results are identical to sequential execution.
@@ -35,7 +37,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -51,9 +53,7 @@ __all__ = [
     "segment_rank",
     "symmetric_basis",
     "SymmetricTensor",
-    "BlockTensor",
     "diagonal_restriction",
-    "block_symmetrize",
     "FockSpace",
     "ExtendedFockVector",
     "inner_product",
@@ -267,9 +267,9 @@ class BlockBasis:
 
     ``reps`` holds one representative per row (grid point indices), sorted
     within each same-part-size segment; ``mult`` counts the distinct
-    within-segment rearrangements of each representative and ``sigma`` is
-    its product of grid weights, so ``weight = mult * sigma`` turns sums
-    over representatives into sums over all tuples.  A representative's
+    within-segment rearrangements of each representative and ``weight``
+    is ``mult`` times its product of grid weights, which turns sums over
+    representatives into sums over all tuples.  A representative's
     position is the mixed-radix number of its segments' lexicographic
     ranks, most significant first, with digit bases ``radix``.
     """
@@ -278,7 +278,6 @@ class BlockBasis:
     grid: GridSpace
     reps: np.ndarray
     mult: np.ndarray
-    sigma: np.ndarray
     weight: np.ndarray
     offsets: tuple[tuple[int, int], ...]  # (start, stop) per part size, 1-based list
     radix: tuple[int, ...]  # number of sorted tuples per part size
@@ -311,15 +310,6 @@ class BlockBasis:
         ranks = [segment_rank(tuples[:, start:stop], size) for start, stop in self.offsets]
         return self.compose(ranks, len(tuples))
 
-    def position(self, tpl: tuple[int, ...]) -> int:
-        """Position of an arbitrary tuple in this block's layout, each
-        segment sorted first; ``KeyError`` for a tuple outside the block."""
-        if len(tpl) != self.alpha.size or not all(0 <= p < self.grid.size for p in tpl):
-            raise KeyError(tpl)
-        rep = itertools.chain.from_iterable(sorted(tpl[s:e]) for s, e in self.offsets)
-        row = np.fromiter(rep, dtype=np.intp, count=len(tpl)).reshape(1, len(tpl))
-        return int(self.rank(row)[0])
-
 
 @lru_cache(maxsize=None)
 def block_basis(alpha: MultiIndex, grid: GridSpace) -> BlockBasis:
@@ -335,14 +325,12 @@ def block_basis(alpha: MultiIndex, grid: GridSpace) -> BlockBasis:
     for (start, stop), segment, rank in zip(offsets, segments, _digits(radix)):
         reps[:, start:stop] = segment[rank]
     mult = _multiplicity(reps, offsets, grid.size)
-    sigma = _weight_product(reps, grid.weights)
     return BlockBasis(
         alpha=alpha,
         grid=grid,
         reps=reps,
         mult=mult,
-        sigma=sigma,
-        weight=mult * sigma,
+        weight=mult * _weight_product(reps, grid.weights),
         offsets=tuple(offsets),
         radix=radix,
     )
@@ -358,12 +346,8 @@ def symmetric_basis(level: int, grid: GridSpace) -> BlockBasis:
 
 @dataclass
 class SymmetricTensor:
-    """Fully symmetric function of ``level`` grid variables.
-
-    Values are stored on sorted tuples in lexicographic order, the
-    all-singletons block basis; arbitrary tuples are looked up after
-    sorting.
-    """
+    """Fully symmetric function of ``level`` grid variables, stored on sorted
+    tuples in lexicographic order: the all-singletons block basis."""
 
     grid: GridSpace
     level: int
@@ -376,47 +360,11 @@ class SymmetricTensor:
         if self.values.shape != (self.basis.dim,):
             raise ValueError("value array does not match the sorted-tuple basis")
 
-    def value(self, tpl: tuple[int, ...]) -> float:
-        return float(self.values[self.basis.position(tpl)])
-
-    @classmethod
-    def zeros(cls, grid: GridSpace, level: int) -> SymmetricTensor:
-        return cls(grid, level, np.zeros(symmetric_basis(level, grid).dim))
-
-    @classmethod
-    def from_function(
-        cls, grid: GridSpace, level: int, fn: Callable[[tuple[int, ...]], float]
-    ) -> SymmetricTensor:
-        reps = symmetric_basis(level, grid).reps.tolist()
-        return cls(grid, level, np.array([float(fn(tuple(rep))) for rep in reps]))
-
     @classmethod
     def basis_element(cls, grid: GridSpace, level: int, idx: int) -> SymmetricTensor:
         values = np.zeros(symmetric_basis(level, grid).dim)
         values[idx] = 1.0
         return cls(grid, level, values)
-
-
-@dataclass
-class BlockTensor:
-    """Block-symmetric function stored on the representatives of one block."""
-
-    grid: GridSpace
-    alpha: MultiIndex
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (block_basis(self.alpha, self.grid).dim,):
-            raise ValueError("value array does not match the block basis")
-
-    @property
-    def basis(self) -> BlockBasis:
-        return block_basis(self.alpha, self.grid)
-
-    def value(self, tpl: tuple[int, ...]) -> float:
-        """Value at an arbitrary tuple in this block's layout."""
-        return float(self.values[self.basis.position(tpl)])
 
 
 def _sort_rows(rows: np.ndarray) -> None:
@@ -428,8 +376,8 @@ def _sort_rows(rows: np.ndarray) -> None:
         lo[:], hi[:] = np.minimum(lo, hi), np.maximum(lo, hi)
 
 
-def diagonal_restriction(f: SymmetricTensor, alpha: MultiIndex) -> BlockTensor:
-    """Block coordinate of a symmetric tensor: each part-k coordinate repeated k times.
+def diagonal_restriction(f: SymmetricTensor, alpha: MultiIndex) -> np.ndarray:
+    """Block values of a symmetric tensor: each part-k coordinate repeated k times.
 
     The layout follows the block convention: singleton coordinates first,
     then the coordinates repeated twice, and so on.  Each block
@@ -444,29 +392,7 @@ def diagonal_restriction(f: SymmetricTensor, alpha: MultiIndex) -> BlockTensor:
     repeats = [k for k, (s, e) in enumerate(basis.offsets, start=1) for _ in range(s, e)]
     expanded = np.repeat(basis.reps, repeats, axis=1)
     _sort_rows(expanded)
-    return BlockTensor(f.grid, alpha, f.values[f.basis.rank(expanded)])
-
-
-def block_symmetrize(
-    fn: Callable[[tuple[int, ...]], float], alpha: MultiIndex, grid: GridSpace
-) -> BlockTensor:
-    """Average a raw function of ``size(alpha)`` grid variables within blocks.
-
-    Orthogonal projection onto the block-symmetric subspace: for every
-    representative, the mean of ``fn`` over all products of within-segment
-    coordinate permutations.  Idempotent by construction.
-    """
-    basis = block_basis(alpha, grid)
-    values = np.empty(basis.dim)
-    for i, rep in enumerate(basis.reps.tolist()):
-        segs = [rep[s:e] for s, e in basis.offsets]
-        total = 0.0
-        count = 0
-        for perm in itertools.product(*(itertools.permutations(seg) for seg in segs)):
-            total += fn(tuple(itertools.chain.from_iterable(perm)))
-            count += 1
-        values[i] = total / count
-    return BlockTensor(grid, alpha, values)
+    return f.values[f.basis.rank(expanded)]
 
 
 class FockSpace:
@@ -541,7 +467,7 @@ class FockSpace:
     @cached_property
     def flat_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Level weight ``n! * weight(n, alpha)`` and representative weight
-        ``mult * sigma`` at every flat position; their product is the
+        ``basis.weight`` at every flat position; their product is the
         squared norm of that position's basis vector; built on first use."""
         level = np.empty(self.dim)
         rep = np.empty(self.dim)
@@ -592,7 +518,7 @@ class FockSpace:
             raise ValueError("grid mismatch")
         v = self.zero()
         for alpha in self.blocks(f.level):
-            v[f.level, alpha][:] = diagonal_restriction(f, alpha).values
+            v[f.level, alpha][:] = diagonal_restriction(f, alpha)
         return v
 
 
@@ -611,11 +537,6 @@ class ExtendedFockVector:
 
     def __getitem__(self, key: tuple[int, MultiIndex]) -> np.ndarray:
         return self.values[self.space.block_slice(*key)]
-
-    def __add__(self, other: ExtendedFockVector) -> ExtendedFockVector:
-        if other.space is not self.space and not self.space.compatible(other.space):
-            raise ValueError("vectors live in different spaces")
-        return ExtendedFockVector(self.space, self.values + other.values)
 
 
 def _check_pairing(f: ExtendedFockVector, g: ExtendedFockVector) -> None:

@@ -440,7 +440,7 @@ class OperatorExport:
             f"# kind {op.kind}",
             f"# depth {space.depth}",
             f"# table-depth {space.table.depth}",
-            f"# grid-points {' '.join(space.grid.points)}",
+            f"# grid-points {' '.join(f'x{i}' for i in range(space.grid.size))}",
             f"# grid-weights {' '.join(f'{w:.17g}' for w in space.grid.weights)}",
             f"# measure-hash {measure_hash(space.measure)}",
             f"# phi {' '.join(f'{v:.17g}' for v in op.phi.values)}",

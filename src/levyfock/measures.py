@@ -93,12 +93,9 @@ class GridSpace:
     ----------
     weights : tuple of float
         Strictly positive quadrature weight per point.
-    points : tuple of str, optional
-        Point identifiers; generated as ``x0, x1, ...`` when omitted.
     """
 
     weights: tuple[float, ...]
-    points: tuple[str, ...] = ()
 
     def __post_init__(self):
         wts = tuple(float(w) for w in self.weights)
@@ -109,10 +106,6 @@ class GridSpace:
             raise ValueError("grid weights must be finite")
         if any(w <= 0.0 for w in wts):
             raise ValueError("grid weights must be strictly positive")
-        pts = self.points or tuple(f"x{i}" for i in range(len(wts)))
-        object.__setattr__(self, "points", tuple(str(p) for p in pts))
-        if len(self.points) != len(wts):
-            raise ValueError("points and weights differ in length")
 
     @property
     def size(self) -> int:
@@ -164,4 +157,7 @@ def gauss_laguerre_gamma(order: int) -> JumpMeasure:
     jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     nodes, vectors = np.linalg.eigh(jacobi)
     weights = vectors[0, :] ** 2
+    zeros = int(np.count_nonzero(weights == 0.0))
+    if zeros:
+        raise ValueError(f"gamma rule of order {order}: {zeros} of its weights underflow to 0")
     return JumpMeasure(tuple(float(s) for s in nodes), tuple(float(w) for w in weights))

@@ -1,4 +1,4 @@
-"""Meixner-class detection and its closed-form operator parts.
+"""Meixner-class detection.
 
 A recurrence table belongs to the Meixner class when its diagonal
 coefficients grow affinely, ``a[n] = lam * (n + 1)``, and its
@@ -8,19 +8,14 @@ members: one for the gamma family, above one for Pascal, below one for
 Meixner (with unit kappa this reduces to comparing ``|lam|`` with two).
 
 For tables in the class, the neutral and annihilation parts of the field
-operator preserve plainly symmetric tensors and admit the closed forms
-implemented here; the general block assembler must agree with them, which
-is one of the package's cross-checks.
+operator preserve plainly symmetric tensors and admit closed forms; the
+test suite keeps those forms as an independent oracle that the general
+block assembler must agree with.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .fock import SymmetricTensor, symmetric_basis
-from .measures import TestFunction
 from .orthopoly import RecurrenceTable
 
 __all__ = [
@@ -29,8 +24,6 @@ __all__ = [
     "PASCAL_TYPE",
     "MEIXNER_TYPE",
     "detect",
-    "meixner_neutral",
-    "meixner_annihilation",
 ]
 
 GAMMA_TYPE = "gamma-type"
@@ -91,56 +84,3 @@ def detect(table: RecurrenceTable, tol: float = 1e-8) -> MeixnerParameters | Non
         classification = MEIXNER_TYPE
     return MeixnerParameters(lam, kappa, classification, residual_a, residual_b)
 
-
-def meixner_neutral(phi: TestFunction, f: SymmetricTensor, lam: float) -> SymmetricTensor:
-    """Closed-form neutral part on a plainly symmetric level-n tensor.
-
-    ``lam`` times the level times the symmetrization of the test function
-    applied to the first coordinate; since the input is symmetric this
-    collapses to ``lam`` times the sum of test-function values over the
-    coordinates.
-    """
-    if phi.grid != f.grid:
-        raise ValueError("grid mismatch")
-    values = np.array(
-        [
-            lam * math.fsum(phi[p] for p in rep) * float(f.values[i])
-            for i, rep in enumerate(f.basis.reps.tolist())
-        ]
-    )
-    return SymmetricTensor(f.grid, f.level, values)
-
-
-def meixner_annihilation(
-    phi: TestFunction,
-    f: SymmetricTensor,
-    kappa: float,
-    mass: float,
-) -> SymmetricTensor:
-    """Closed-form annihilation part on a plainly symmetric level-n tensor.
-
-    Sum of the grid contraction (level times total mass times the
-    weighted average of the test function against the first coordinate)
-    and the symmetrized diagonal term with coefficient ``kappa`` times
-    level times (level - 1); the latter vanishes at level one.
-    """
-    if phi.grid != f.grid:
-        raise ValueError("grid mismatch")
-    n = f.level
-    if n < 1:
-        raise ValueError("annihilation needs level at least 1")
-    grid = f.grid
-    basis_out = symmetric_basis(n - 1, grid)
-    values = np.empty(basis_out.dim)
-    for i, rep in enumerate(map(tuple, basis_out.reps.tolist())):
-        contraction = n * mass * math.fsum(
-            grid.weights[p] * phi[p] * f.value((p,) + rep) for p in range(grid.size)
-        )
-        # kappa * n * (n-1) * sym(phi(x1) f(x1, x1, rest)) collapses to
-        # kappa * n * sum over coordinates of phi at the doubled coordinate.
-        diagonal = kappa * n * math.fsum(
-            phi[rep[j]] * f.value((rep[j],) + rep)
-            for j in range(len(rep))
-        )
-        values[i] = contraction + diagonal
-    return SymmetricTensor(grid, n - 1, values)

@@ -70,21 +70,6 @@ class RecurrenceTable:
     def depth(self) -> int:
         return len(self.a)
 
-    def eval_monic(self, n: int, s: float) -> float:
-        """Value of the degree-``n`` monic polynomial via the forward recurrence.
-
-        Degrees up to ``depth`` are reachable: the top one uses the last
-        stored coefficient pair.
-        """
-        if n < 0:
-            raise ValueError("polynomial degree must be nonnegative")
-        if n > self.depth:
-            raise ValueError(f"degree {n} exceeds table depth {self.depth}")
-        prev, cur = 0.0, 1.0
-        for j in range(n):
-            prev, cur = cur, (s - self.a[j]) * cur - self.b[j] * prev
-        return cur
-
     def with_scaled_b(self, k: int, factor: float) -> RecurrenceTable:
         """Copy with ``b[k]`` multiplied by ``factor`` and the norm chain rebuilt.
 

@@ -1,8 +1,14 @@
-"""Shared fixtures and independent oracle helpers for the test suite."""
+"""Shared fixtures and independent oracle helpers for the test suite.
+
+The oracles enumerate tuples with ``itertools`` and import only public
+``levyfock`` names: no library basis, rank or private helper.
+"""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,12 +17,12 @@ from levyfock import (
     CumulantModel,
     GridSpace,
     JumpMeasure,
+    MultiIndex,
     SymmetricTensor,
     TestFunction,
     gauss_laguerre_gamma,
     stieltjes,
 )
-from levyfock.moments import _monomials_up_to, _pairing_coefficients
 
 
 @pytest.fixture(scope="session")
@@ -55,25 +61,124 @@ def random_measure(rng: np.random.Generator, atoms: int) -> JumpMeasure:
     return JumpMeasure(tuple(locations), tuple(weights))
 
 
-def sym_tensor_product(phi: TestFunction, f: SymmetricTensor) -> SymmetricTensor:
-    """Symmetrized tensor product of a test function with a symmetric tensor.
+def sorted_tuples(size: int, m: int) -> list[tuple[int, ...]]:
+    """Sorted m-tuples of grid points ``0 .. size - 1``, lexicographically."""
+    return list(itertools.combinations_with_replacement(range(size), m))
 
-    Direct implementation of the definition, used as the oracle for the
-    creation part on embedded symmetric tensors.  Sorted tuples are
-    enumerated with ``itertools`` in the tensor's lexicographic value order,
-    so no library basis is involved.
-    """
+
+def arrangements(segment) -> int:
+    """Distinct rearrangements of a tuple."""
+    count = math.factorial(len(segment))
+    for c in Counter(segment).values():
+        count //= math.factorial(c)
+    return count
+
+
+def segment_bounds(alpha: MultiIndex) -> list[tuple[int, int]]:
+    """(start, stop) of each part size's coordinates in a block tuple."""
+    stops = list(itertools.accumulate(alpha.multiplicities))
+    return list(zip([0] + stops, stops))
+
+
+def block_reps(alpha: MultiIndex, grid: GridSpace) -> list[tuple[int, ...]]:
+    """A block's representatives in layout order: the ``itertools.product``
+    of each part size's sorted tuples."""
+    segments = [sorted_tuples(grid.size, m) for m in alpha.multiplicities]
+    return [tuple(itertools.chain.from_iterable(c)) for c in itertools.product(*segments)]
+
+
+@functools.cache
+def _rep_index(alpha: MultiIndex, grid: GridSpace) -> dict[tuple[int, ...], int]:
+    return {rep: i for i, rep in enumerate(block_reps(alpha, grid))}
+
+
+def at(values, alpha: MultiIndex, grid: GridSpace, tpl) -> float:
+    """Value of a block's representative array at an arbitrary tuple, each
+    segment sorted first; ``KeyError`` for a foreign tuple."""
+    if len(tpl) != alpha.size:
+        raise KeyError(tpl)
+    rep = tuple(itertools.chain.from_iterable(sorted(tpl[s:e]) for s, e in segment_bounds(alpha)))
+    return float(values[_rep_index(alpha, grid)[rep]])
+
+
+def sym_at(f: SymmetricTensor, tpl) -> float:
+    """Value of a symmetric tensor at an arbitrary tuple."""
+    return at(f.values, MultiIndex((f.level,)), f.grid, tpl)
+
+
+def symmetric_from(grid: GridSpace, level: int, fn) -> SymmetricTensor:
+    """Symmetric tensor with value ``fn(rep)`` on every sorted tuple."""
+    values = [float(fn(rep)) for rep in sorted_tuples(grid.size, level)]
+    return SymmetricTensor(grid, level, np.array(values))
+
+
+def sym_tensor_product(phi: TestFunction, f: SymmetricTensor) -> SymmetricTensor:
+    """Symmetrized tensor product of a test function with a symmetric tensor,
+    straight from the definition: the oracle for the creation part."""
     n = f.level
-    points = range(f.grid.size)
-    source = dict(zip(itertools.combinations_with_replacement(points, n), f.values))
     values = [
-        math.fsum(
-            phi[rep[j]] * float(source[rep[:j] + rep[j + 1 :]]) for j in range(n + 1)
-        )
-        / (n + 1)
-        for rep in itertools.combinations_with_replacement(points, n + 1)
+        math.fsum(phi[rep[j]] * sym_at(f, rep[:j] + rep[j + 1 :]) for j in range(n + 1)) / (n + 1)
+        for rep in sorted_tuples(f.grid.size, n + 1)
     ]
     return SymmetricTensor(f.grid, n + 1, np.array(values))
+
+
+def block_symmetrize(fn, alpha: MultiIndex, grid: GridSpace) -> np.ndarray:
+    """Projection of a raw function of ``size(alpha)`` grid variables onto the
+    block-symmetric functions: at every representative, the mean of ``fn``
+    over all products of within-segment coordinate permutations."""
+    bounds = segment_bounds(alpha)
+    values = []
+    for rep in block_reps(alpha, grid):
+        segments = (itertools.permutations(rep[s:e]) for s, e in bounds)
+        terms = [fn(tuple(itertools.chain.from_iterable(p))) for p in itertools.product(*segments)]
+        values.append(sum(terms) / len(terms))
+    return np.array(values)
+
+
+def meixner_neutral(phi: TestFunction, f: SymmetricTensor, lam: float) -> SymmetricTensor:
+    """Closed-form neutral part of a Meixner-class table on a symmetric
+    tensor: ``lam`` times the sum of phi over the coordinates."""
+    values = [
+        lam * math.fsum(phi[p] for p in rep) * sym_at(f, rep)
+        for rep in sorted_tuples(f.grid.size, f.level)
+    ]
+    return SymmetricTensor(f.grid, f.level, np.array(values))
+
+
+def meixner_annihilation(
+    phi: TestFunction, f: SymmetricTensor, kappa: float, mass: float
+) -> SymmetricTensor:
+    """Closed-form annihilation part of a Meixner-class table on a symmetric
+    tensor: ``n * mass * sum_p w_p phi_p f(p, rest)`` plus the symmetrized
+    diagonal term, ``kappa * n * sum_{x in rest} phi(x) f(x, rest)``."""
+    n, grid = f.level, f.grid
+    if n < 1:
+        raise ValueError("annihilation needs level at least 1")
+    values = []
+    for rep in sorted_tuples(grid.size, n - 1):
+        contraction = n * mass * math.fsum(
+            grid.weights[p] * phi[p] * sym_at(f, (p,) + rep) for p in range(grid.size)
+        )
+        diagonal = kappa * n * math.fsum(phi[x] * sym_at(f, (x,) + rep) for x in rep)
+        values.append(contraction + diagonal)
+    return SymmetricTensor(grid, n - 1, np.array(values))
+
+
+def _exponents(size: int, rep) -> tuple[int, ...]:
+    counts = Counter(rep)
+    return tuple(counts[i] for i in range(size))
+
+
+def pairing_coefficients(f: SymmetricTensor) -> dict[tuple[int, ...], float]:
+    """Monomial coefficients of the pairing of the noise with ``f``: one
+    monomial per sorted tuple, times its arrangement count; zeros left out."""
+    size = f.grid.size
+    return {
+        _exponents(size, rep): arrangements(rep) * float(value)
+        for rep, value in zip(sorted_tuples(size, f.level), f.values)
+        if value != 0.0
+    }
 
 
 def wick_coefficients(f: SymmetricTensor, model: CumulantModel) -> dict:
@@ -82,8 +187,9 @@ def wick_coefficients(f: SymmetricTensor, model: CumulantModel) -> dict:
     Projects the raw pairing polynomial onto the complement of all lower
     degrees by an explicit Gram solve against joint moments.
     """
-    coeffs = _pairing_coefficients(f)
-    lower = _monomials_up_to(model.grid.size, f.level - 1) if f.level > 0 else []
+    coeffs = pairing_coefficients(f)
+    size = model.grid.size
+    lower = [_exponents(size, rep) for d in range(f.level) for rep in sorted_tuples(size, d)]
     if not lower:
         return dict(coeffs)
     gram = np.array(

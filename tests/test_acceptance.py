@@ -26,8 +26,6 @@ from levyfock import (
     creation,
     gauss_laguerre_gamma,
     level_inner_product,
-    meixner_annihilation,
-    meixner_neutral,
     moments_from_cumulants,
     neutral,
     partitions,
@@ -38,7 +36,7 @@ from levyfock import (
 from levyfock.fock import symmetric_basis
 from levyfock.moments import chaos_inner_product
 
-from conftest import random_measure
+from conftest import meixner_annihilation, meixner_neutral, random_measure
 
 NU2 = JumpMeasure((-1.0, 1.0), (0.5, 0.5))
 NUP = JumpMeasure((1.0,), (1.0,))

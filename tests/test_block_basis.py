@@ -1,28 +1,29 @@
 """The array block bases against a tuple-by-tuple reference.
 
-The reference enumerates representatives with ``itertools`` and counts
-rearrangements with ``Counter``, one tuple at a time, as a direct reading
-of the definitions; the library builds the same bases from per-segment
-combination arrays, run lengths and binomial ranks.
+The reference takes its representatives from the ``itertools``
+enumeration of ``conftest.block_reps`` and counts rearrangements with
+``Counter``, one tuple at a time, as a direct reading of the definitions;
+the library builds the same bases from per-segment combination arrays,
+run lengths and binomial ranks.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from levyfock import GridSpace, MultiIndex, SymmetricTensor
 from levyfock.fock import (
-    BlockTensor,
     _multiplicity,
     block_basis,
     diagonal_restriction,
     partitions,
     symmetric_basis,
 )
+
+from conftest import arrangements, at, block_reps, segment_bounds, sym_at, symmetric_from
 
 GRIDS = [
     GridSpace((2.0,)),
@@ -34,23 +35,10 @@ BLOCKS = [alpha for n in range(7) for alpha in partitions(n)]
 
 
 def reference_basis(alpha: MultiIndex, grid: GridSpace):
-    per_segment = [
-        list(itertools.combinations_with_replacement(range(grid.size), m))
-        for m in alpha.multiplicities
-    ]
-    reps, mult, sigma = [], [], []
-    for combo in itertools.product(*per_segment):
-        count = 1
-        for segment in combo:
-            arrangements = math.factorial(len(segment))
-            for c in Counter(segment).values():
-                arrangements //= math.factorial(c)
-            count *= arrangements
-        rep = tuple(itertools.chain.from_iterable(combo))
-        reps.append(rep)
-        mult.append(float(count))
-        sigma.append(float(np.prod([grid.weights[p] for p in rep])) if rep else 1.0)
-    return reps, np.array(mult), np.array(sigma)
+    reps = block_reps(alpha, grid)
+    mult = [math.prod(arrangements(rep[s:e]) for s, e in segment_bounds(alpha)) for rep in reps]
+    sigma = [float(np.prod([grid.weights[p] for p in rep])) if rep else 1.0 for rep in reps]
+    return reps, np.array(mult, dtype=float), np.array(sigma)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"G{g.size}")
@@ -61,7 +49,7 @@ def test_matches_reference(alpha, grid):
     assert list(map(tuple, basis.reps.tolist())) == reps
     assert basis.reps.shape == (len(reps), alpha.size)
     assert basis.mult.tobytes() == mult.tobytes()
-    assert basis.sigma.tobytes() == sigma.tobytes()
+    assert basis.weight.tobytes() == (mult * sigma).tobytes()
     assert basis.dim == len(reps)
     assert np.array_equal(basis.rank(basis.reps), np.arange(basis.dim))
     composed = basis.compose(basis.segment_ranks(), basis.dim)
@@ -73,40 +61,37 @@ def test_value_reads_unsorted_tuples(alpha):
     grid = GRIDS[2]
     basis = block_basis(alpha, grid)
     values = np.random.default_rng(4).normal(0, 1, basis.dim)
-    tensor = BlockTensor(grid, alpha, values)
     shuffle = np.random.default_rng(5)
     for i, rep in enumerate(basis.reps.tolist()):
         segments = [list(rep[s:e]) for s, e in basis.offsets]
         for segment in segments:
             shuffle.shuffle(segment)
-        assert tensor.value(tuple(itertools.chain.from_iterable(segments))) == values[i]
+        assert at(values, alpha, grid, tuple(itertools.chain.from_iterable(segments))) == values[i]
 
 
 def test_value_rejects_foreign_tuples():
     grid = GRIDS[1]
     alpha = MultiIndex((1, 1))
-    block = BlockTensor(grid, alpha, np.zeros(block_basis(alpha, grid).dim))
-    for tensor in [block, SymmetricTensor.zeros(grid, 2)]:
-        for bad in [(0,), (0, 1, 1), (0, 2), (-1, 0)]:
-            with pytest.raises(KeyError):
-                tensor.value(bad)
+    zeros = np.zeros(block_basis(alpha, grid).dim)
+    tensor = symmetric_from(grid, 2, lambda rep: 0.0)
+    for bad in [(0,), (0, 1, 1), (0, 2), (-1, 0)]:
+        with pytest.raises(KeyError):
+            at(zeros, alpha, grid, bad)
+        with pytest.raises(KeyError):
+            sym_at(tensor, bad)
 
 
 def reference_restriction(f: SymmetricTensor, alpha: MultiIndex) -> np.ndarray:
     """Diagonal restriction one representative at a time: expand each part-k
-    coordinate k times and read the tensor at the sorted expanded tuple,
-    through a dict over the tensor's lexicographic sorted tuples."""
-    combos = itertools.combinations_with_replacement(range(f.grid.size), f.level)
-    source = dict(zip(combos, f.values))
-    basis = block_basis(alpha, f.grid)
-    values = np.empty(basis.dim)
-    for i, rep in enumerate(basis.reps.tolist()):
+    coordinate k times and read the tensor at the expanded tuple."""
+    values = []
+    for rep in block_reps(alpha, f.grid):
         expanded: list[int] = []
-        for k, (s, e) in enumerate(basis.offsets, start=1):
+        for k, (s, e) in enumerate(segment_bounds(alpha), start=1):
             for p in rep[s:e]:
                 expanded.extend([p] * k)
-        values[i] = source[tuple(sorted(expanded))]
-    return values
+        values.append(sym_at(f, expanded))
+    return np.array(values)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"G{g.size}")
@@ -115,7 +100,7 @@ def test_diagonal_restriction_matches_reference(alpha, grid):
     rng = np.random.default_rng(7)
     n = alpha.degree
     f = SymmetricTensor(grid, n, rng.normal(0, 1, symmetric_basis(n, grid).dim))
-    got = diagonal_restriction(f, alpha).values
+    got = diagonal_restriction(f, alpha)
     assert got.tobytes() == reference_restriction(f, alpha).tobytes()
 
 

@@ -591,6 +591,31 @@ def test_ignored_config_text_rejected(tmp_path, capsys, text, error):
     assert captured.err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize(
+    "old,new,error",
+    [
+        ("depth 6", "depth 3.5", "key 'depth' in [run] expects an integer, not '3.5'"),
+        ("max_moment 6", "max_moment 6.0", "key 'max_moment' in [run] expects an integer"),
+        ("weights 2.0", "weights two", "key 'weights' in [grid] expects a number, not 'two'"),
+        ("-1 1", "-1 x", "key 'locations' in [measure] expects a number, not 'x'"),
+        ("values 1.0", "values 1,0", "key 'values' in [phi] expects a number, not '1,0'"),
+        ("max_moment 6", "fault_b1 nan", "fault_b1 scale must be finite, not nan"),
+        ("max_moment 6", "fault_b1 inf", "fault_b1 scale must be finite, not inf"),
+        ("max_moment 6", "fault_b1 1e400", "fault_b1 scale must be finite, not inf"),
+        ("order 40", "order 4e1", "key 'order' in [measure] expects an integer, not '4e1'"),
+        ("order 40", "order 200", "gamma rule of order 200: "),
+    ],
+    ids=["depth", "max_moment", "grid", "locations", "phi", "nan", "inf", "1e400", "order", "200"],
+)
+def test_bad_number_named(tmp_path, capsys, old, new, error):
+    text = (GAMMA_CFG if old == "order 40" else NU2_CFG).replace(old, new)
+    path = write(tmp_path, "run.cfg", text)
+    assert main(["recurrence", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {error}")
+
+
 class TestNanVerdicts:
     """A number that cannot be compared with the tolerance fails the check."""
 

@@ -13,8 +13,6 @@ from levyfock import (
     GridSpace,
     JumpMeasure,
     MultiIndex,
-    SymmetricTensor,
-    block_symmetrize,
     block_weight,
     diagonal_restriction,
     inner_product,
@@ -22,7 +20,9 @@ from levyfock import (
     partitions,
     stieltjes,
 )
-from levyfock.fock import ExtendedFockVector, block_basis, symmetric_basis
+from levyfock.fock import ExtendedFockVector, block_basis
+
+from conftest import at, block_reps, block_symmetrize, segment_bounds, sym_at, symmetric_from
 
 
 def brute_force_partition_count(n: int, max_part: int) -> int:
@@ -113,32 +113,29 @@ class TestBlockWeight:
 class TestDiagonalRestriction:
     def test_full_diagonal(self):
         grid = GridSpace((1.0, 2.0))
-        f = SymmetricTensor.from_function(grid, 2, lambda rep: float(sum(rep)) + 1.0)
+        f = symmetric_from(grid, 2, lambda rep: float(sum(rep)) + 1.0)
         block = diagonal_restriction(f, MultiIndex((0, 1)))
         for i in range(grid.size):
-            assert block.value((i,)) == f.value((i, i))
+            assert block[i] == sym_at(f, (i, i))
 
     def test_no_duplication_is_identity(self):
         grid = GridSpace((1.0, 0.5, 2.0))
-        f = SymmetricTensor.from_function(grid, 3, lambda rep: float(sum(rep)))
+        f = symmetric_from(grid, 3, lambda rep: float(sum(rep)))
         block = diagonal_restriction(f, MultiIndex((3,)))
-        basis = symmetric_basis(3, grid)
-        for rep in basis.reps:
-            assert block.value(rep) == f.value(rep)
+        assert block.tobytes() == f.values.tobytes()
 
     def test_mixed_layout_singleton_first(self):
         grid = GridSpace((1.0, 2.0))
-        f = SymmetricTensor.from_function(
-            grid, 3, lambda rep: float(rep[0] + 10 * rep[1] + 100 * rep[2])
-        )
-        block = diagonal_restriction(f, MultiIndex((1, 1)))
+        f = symmetric_from(grid, 3, lambda rep: float(rep[0] + 10 * rep[1] + 100 * rep[2]))
+        alpha = MultiIndex((1, 1))
+        block = diagonal_restriction(f, alpha)
         # first coordinate enters once, second twice
-        assert block.value((0, 1)) == f.value((0, 1, 1))
-        assert block.value((1, 0)) == f.value((1, 0, 0))
+        assert at(block, alpha, grid, (0, 1)) == sym_at(f, (0, 1, 1))
+        assert at(block, alpha, grid, (1, 0)) == sym_at(f, (1, 0, 0))
 
     def test_degree_mismatch(self):
         grid = GridSpace((1.0,))
-        f = SymmetricTensor.from_function(grid, 2, lambda rep: 1.0)
+        f = symmetric_from(grid, 2, lambda rep: 1.0)
         with pytest.raises(ValueError, match="degree mismatch"):
             diagonal_restriction(f, MultiIndex((1,)))
 
@@ -156,16 +153,15 @@ class TestDiagonalRestriction:
                     for perm in itertools.permutations(tpl)
                 ) / math.factorial(len(tpl))
 
-            f = SymmetricTensor.from_function(grid, n, elementary_symmetrized)
+            f = symmetric_from(grid, n, elementary_symmetrized)
             for alpha in partitions(n):
                 block = diagonal_restriction(f, alpha)
-                basis = block_basis(alpha, grid)
-                for rep in map(tuple, basis.reps.tolist()):
+                for i, rep in enumerate(block_reps(alpha, grid)):
                     expanded = []
-                    for k, (s, e) in enumerate(basis.offsets, start=1):
+                    for k, (s, e) in enumerate(segment_bounds(alpha), start=1):
                         for p in rep[s:e]:
                             expanded.extend([p] * k)
-                    assert block.value(rep) == pytest.approx(
+                    assert block[i] == pytest.approx(
                         elementary_symmetrized(tuple(expanded)), rel=1e-12, abs=1e-12
                     )
 
@@ -174,19 +170,10 @@ class TestBlockSymmetrize:
     def test_fixes_already_symmetric(self):
         grid = GridSpace((1.0, 2.0))
         alpha = MultiIndex((0, 1, 1))
-        basis = block_basis(alpha, grid)
         rng = np.random.default_rng(1)
-        values = rng.normal(0, 1, basis.dim)
-        source = {rep: values[i] for i, rep in enumerate(map(tuple, basis.reps.tolist()))}
-
-        def fn(tpl):
-            rep = tuple(
-                itertools.chain.from_iterable(sorted(tpl[s:e]) for s, e in basis.offsets)
-            )
-            return source[rep]
-
-        out = block_symmetrize(fn, alpha, grid)
-        assert out.values == pytest.approx(values)
+        values = rng.normal(0, 1, len(block_reps(alpha, grid)))
+        out = block_symmetrize(lambda tpl: at(values, alpha, grid, tpl), alpha, grid)
+        assert out == pytest.approx(values)
 
     def test_two_point_symmetrization(self):
         grid = GridSpace((1.0, 3.0))
@@ -196,10 +183,11 @@ class TestBlockSymmetrize:
         def fn(tpl):
             return phi[tpl[0]] * psi[tpl[1]]
 
-        out = block_symmetrize(fn, MultiIndex((2,)), grid)
+        alpha = MultiIndex((2,))
+        out = block_symmetrize(fn, alpha, grid)
         for x, y in [(0, 1), (0, 0), (1, 1)]:
             expected = 0.5 * (phi[x] * psi[y] + phi[y] * psi[x])
-            assert out.value((x, y)) == pytest.approx(expected)
+            assert at(out, alpha, grid, (x, y)) == pytest.approx(expected)
 
     def test_singleton_blocks_leave_function_alone(self):
         grid = GridSpace((1.0, 2.0))
@@ -207,9 +195,10 @@ class TestBlockSymmetrize:
         def fn(tpl):
             return float(tpl[0] + 10 * tpl[1])
 
-        out = block_symmetrize(fn, MultiIndex((1, 1)), grid)
-        for rep in map(tuple, block_basis(MultiIndex((1, 1)), grid).reps.tolist()):
-            assert out.value(rep) == fn(rep)
+        alpha = MultiIndex((1, 1))
+        out = block_symmetrize(fn, alpha, grid)
+        for i, rep in enumerate(block_reps(alpha, grid)):
+            assert out[i] == fn(rep)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=3))
@@ -225,8 +214,8 @@ class TestBlockSymmetrize:
             return raw[tpl]
 
         once = block_symmetrize(fn, alpha, grid)
-        twice = block_symmetrize(once.value, alpha, grid)
-        assert twice.values == pytest.approx(once.values, rel=1e-12, abs=1e-12)
+        twice = block_symmetrize(lambda tpl: at(once, alpha, grid, tpl), alpha, grid)
+        assert twice == pytest.approx(once, rel=1e-12, abs=1e-12)
 
     def test_self_adjoint_under_weighted_tuple_inner_product(self):
         grid = GridSpace((0.5, 1.5))
@@ -239,8 +228,8 @@ class TestBlockSymmetrize:
         h_vals = {t: rng.normal() for t in tuples}
         sg = block_symmetrize(g_vals.get, alpha, grid)
         sh = block_symmetrize(h_vals.get, alpha, grid)
-        lhs = math.fsum(weights[t] * sg.value(t) * h_vals[t] for t in tuples)
-        rhs = math.fsum(weights[t] * g_vals[t] * sh.value(t) for t in tuples)
+        lhs = math.fsum(weights[t] * at(sg, alpha, grid, t) * h_vals[t] for t in tuples)
+        rhs = math.fsum(weights[t] * g_vals[t] * at(sh, alpha, grid, t) for t in tuples)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -251,14 +240,14 @@ class TestInnerProduct:
 
     def test_level_one_constant(self, nu2, g1):
         space = FockSpace(g1, nu2, stieltjes(nu2, 2), 3)
-        v = space.embed_symmetric(SymmetricTensor.from_function(g1, 1, lambda r: 1.0))
+        v = space.embed_symmetric(symmetric_from(g1, 1, lambda r: 1.0))
         assert inner_product(v, v) == pytest.approx(2.0)
 
     def test_level_two_constant(self, nu2, g1):
         # hand evaluation: the two degree-two blocks weigh 4 and 1, level
         # weight two
         space = FockSpace(g1, nu2, stieltjes(nu2, 2), 3)
-        v = space.embed_symmetric(SymmetricTensor.from_function(g1, 2, lambda r: 1.0))
+        v = space.embed_symmetric(symmetric_from(g1, 2, lambda r: 1.0))
         assert inner_product(v, v) == pytest.approx(10.0)
         assert level_inner_product(v, v, 2) == pytest.approx(5.0)
 
@@ -283,7 +272,7 @@ class TestInnerProduct:
     def test_level_pairing_reads_the_weight_table_once(self, nu2, monkeypatch):
         grid = GridSpace((0.7, 1.1, 1.3))
         space = FockSpace(grid, nu2, stieltjes(nu2, 2), 4)
-        v = space.embed_symmetric(SymmetricTensor.from_function(grid, 3, lambda r: sum(r) + 1.0))
+        v = space.embed_symmetric(symmetric_from(grid, 3, lambda r: sum(r) + 1.0))
         calls = []
         basis = FockSpace.basis
 

@@ -1,0 +1,54 @@
+"""Source hygiene, read with ``ast``: no unused imports, and the shared test
+oracles import only the package's public names."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import levyfock
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "levyfock").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import and never read, nor listed in ``__all__``."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {elt.value for elt in node.value.elts}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_unused_import_detected():
+    tree = ast.parse("import os\nfrom math import pi, tau\n__all__ = ['tau']\n")
+    assert unused_imports(tree) == ["os (line 1)", "pi (line 2)"]
+
+
+def test_conftest_imports_only_public_names():
+    tree = ast.parse((ROOT / "tests" / "conftest.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names if a.name.split(".")[0] == "levyfock"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("levyfock"):
+            prefix = "" if node.module == "levyfock" else f"{node.module}."
+            imported += [prefix + a.name for a in node.names]
+    assert imported
+    assert [name for name in imported if name not in levyfock.__all__] == []

@@ -26,19 +26,18 @@ from levyfock import (
     vacuum_moments,
 )
 from levyfock import jacobi
-from levyfock.fock import (
-    BlockTensor,
-    ExtendedFockVector,
-    block_basis,
-    block_symmetrize,
-    symmetric_basis,
-)
+from levyfock.fock import ExtendedFockVector, symmetric_basis
 from levyfock.jacobi import FieldOperator, measure_hash
 
 from conftest import (
+    at,
+    block_reps,
+    block_symmetrize,
     poly_expectation,
     poly_product,
     random_measure,
+    segment_bounds,
+    sym_at,
     sym_tensor_product,
     wick_coefficients,
 )
@@ -73,14 +72,14 @@ class TestCreation:
         phi = TestFunction(grid, (0.9, -0.4))
         psi = SymmetricTensor(grid, 1, np.array([2.0, 0.5]))
         image = creation(annihilation(phi, space)).apply(space.embed_symmetric(psi))
-        pair_block = BlockTensor(grid, MultiIndex((2,)), image[2, MultiIndex((2,))])
+        pair, diagonal = MultiIndex((2,)), MultiIndex((0, 1))
         for x in range(2):
             for y in range(2):
-                expected = 0.5 * (phi[x] * psi.value((y,)) + phi[y] * psi.value((x,)))
-                assert pair_block.value((x, y)) == pytest.approx(expected)
-        diagonal_block = BlockTensor(grid, MultiIndex((0, 1)), image[2, MultiIndex((0, 1))])
+                expected = 0.5 * (phi[x] * sym_at(psi, (y,)) + phi[y] * sym_at(psi, (x,)))
+                assert at(image[2, pair], pair, grid, (x, y)) == pytest.approx(expected)
         for x in range(2):
-            assert diagonal_block.value((x,)) == pytest.approx(phi[x] * psi.value((x,)))
+            got = at(image[2, diagonal], diagonal, grid, (x,))
+            assert got == pytest.approx(phi[x] * sym_at(psi, (x,)))
 
     def test_vacuum_image_norm(self, nu2, g1):
         space = FockSpace(g1, nu2, stieltjes(nu2, 2), 2)
@@ -131,7 +130,7 @@ class TestNeutral:
         f = SymmetricTensor(grid, 1, np.array([1.0, -2.0, 0.5]))
         image = neutral(phi, space).apply(space.embed_symmetric(f))
         block = image[1, MultiIndex((1,))]
-        expected = [table.a[0] * phi[i] * f.value((i,)) for i in range(grid.size)]
+        expected = [table.a[0] * phi[i] * sym_at(f, (i,)) for i in range(grid.size)]
         assert block == pytest.approx(expected)
 
     def test_level_two_diagonal_block(self, gamma40, gamma_table):
@@ -141,10 +140,10 @@ class TestNeutral:
         phi = TestFunction(grid, (0.9, -0.4))
         f = SymmetricTensor(grid, 2, np.array([1.0, 2.0, -1.0]))
         image = neutral(phi, space).apply(space.embed_symmetric(f))
-        block = BlockTensor(grid, MultiIndex((0, 1)), image[2, MultiIndex((0, 1))])
+        alpha = MultiIndex((0, 1))
         for x in range(2):
-            expected = gamma_table.a[1] * phi[x] * f.value((x, x))
-            assert block.value((x,)) == pytest.approx(expected)
+            expected = gamma_table.a[1] * phi[x] * sym_at(f, (x, x))
+            assert at(image[2, alpha], alpha, grid, (x,)) == pytest.approx(expected)
 
 
 class TestAnnihilation:
@@ -158,7 +157,7 @@ class TestAnnihilation:
         f = SymmetricTensor(grid, 1, np.array([1.0, -2.0, 0.5]))
         image = annihilation(phi, space).apply(space.embed_symmetric(f))
         expected = measure.total_mass() * math.fsum(
-            w * p * f.value((i,))
+            w * p * sym_at(f, (i,))
             for i, (w, p) in enumerate(zip(grid.weights, phi.values))
         )
         assert image[VACUUM][0] == pytest.approx(expected, rel=1e-12)
@@ -174,13 +173,14 @@ class TestAnnihilation:
         rng = np.random.default_rng(5)
         f = SymmetricTensor(grid, 2, rng.normal(0, 1, 3))
         image = annihilation(phi, space).apply(space.embed_symmetric(f))
-        block = BlockTensor(grid, MultiIndex((1,)), image[1, MultiIndex((1,))])
+        alpha = MultiIndex((1,))
         for x in range(2):
             contraction = 2.0 * nu2.total_mass() * math.fsum(
-                grid.weights[i] * phi[i] * f.value((i, x)) for i in range(2)
+                grid.weights[i] * phi[i] * sym_at(f, (i, x)) for i in range(2)
             )
-            promotion = table.b[1] * phi[x] * f.value((x, x))
-            assert block.value((x,)) == pytest.approx(contraction + promotion, rel=1e-12)
+            promotion = table.b[1] * phi[x] * sym_at(f, (x, x))
+            got = at(image[1, alpha], alpha, grid, (x,))
+            assert got == pytest.approx(contraction + promotion, rel=1e-12)
 
 
 def literal_annihilation_block(space, phi, source, src_alpha, dst_alpha, promote_first):
@@ -194,18 +194,17 @@ def literal_annihilation_block(space, phi, source, src_alpha, dst_alpha, promote
     """
     n = src_alpha.degree
     grid = space.grid
-    value_source = BlockTensor(grid, src_alpha, source)
-    parts_total = np.zeros(block_basis(dst_alpha, grid).dim)
+    parts_total = np.zeros(len(block_reps(dst_alpha, grid)))
     if dst_alpha.raised(1) == src_alpha:
 
         def raw_contraction(tpl):
             return math.fsum(
-                grid.weights[i] * phi[i] * value_source.value((i,) + tpl)
+                grid.weights[i] * phi[i] * at(source, src_alpha, grid, (i,) + tpl)
                 for i in range(grid.size)
             )
 
         bt = block_symmetrize(raw_contraction, dst_alpha, grid)
-        parts_total = parts_total + n * space.mass * bt.values
+        parts_total = parts_total + n * space.mass * bt
     offsets = {}
     start = 0
     for k in range(1, dst_alpha.max_part + 1):
@@ -234,10 +233,10 @@ def literal_annihilation_block(space, phi, source, src_alpha, dst_alpha, promote
                 cursor += width
             segs[k - 1].append(moved)
             flat = tuple(x for seg in segs for x in seg)
-            return phi[moved] * value_source.value(flat)
+            return phi[moved] * at(source, src_alpha, grid, flat)
 
         bt = block_symmetrize(raw_promotion, dst_alpha, grid)
-        parts_total = parts_total + (n / k) * count * space.table.b[k - 1] * bt.values
+        parts_total = parts_total + (n / k) * count * space.table.b[k - 1] * bt
     return parts_total
 
 
@@ -282,18 +281,17 @@ class TestLiteralFormulaEquivalence:
             block = image[level, alpha].copy()
             image[level, alpha][:] = 0.0
             assert np.all(image.values == 0.0)  # block-diagonal
-            value_source = BlockTensor(grid, alpha, source)
-            offsets = block_basis(alpha, grid).offsets
+            offsets = segment_bounds(alpha)
             expected = np.zeros_like(source)
             for k, _m in alpha.parts():
-                start, stop = offsets[k - 1]
+                stop = offsets[k - 1][1]
 
-                def raw(tpl, start=start, stop=stop):
+                def raw(tpl, stop=stop):
                     # terminal coordinate of the size-k segment carries phi
-                    return phi[tpl[stop - 1]] * value_source.value(tpl)
+                    return phi[tpl[stop - 1]] * at(source, alpha, grid, tpl)
 
                 bt = block_symmetrize(raw, alpha, grid)
-                expected = expected + alpha.count(k) * space.table.a[k - 1] * bt.values
+                expected = expected + alpha.count(k) * space.table.a[k - 1] * bt
             assert block == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -371,10 +369,10 @@ class TestFullOperator:
         parts = [creation(minus), neutral(phi, space), minus]
         rng = np.random.default_rng(4)
         v = ExtendedFockVector(space, rng.normal(0, 1, space.dim))
-        combined = parts[0].apply(v) + parts[1].apply(v) + parts[2].apply(v)
+        combined = sum(part.apply(v).values for part in parts)
         direct = whole.apply(v)
         for key in space.block_keys():
-            assert direct[key] == pytest.approx(combined[key], rel=1e-12)
+            assert direct[key] == pytest.approx(combined[space.block_slice(*key)], rel=1e-12)
 
     def test_zero_maps_to_zero(self, random_setup):
         _, _, space, phi = random_setup

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from levyfock import GridSpace, JumpMeasure, TestFunction, gauss_laguerre_gamma
+from levyfock import FockSpace, GridSpace, JumpMeasure, TestFunction, gauss_laguerre_gamma
+from levyfock.jacobi import export_lines, full
+from levyfock.orthopoly import stieltjes
 
 
 class TestJumpMeasure:
@@ -90,6 +92,10 @@ class TestGammaQuadrature:
             expected = float(math.factorial(k + 1))
             assert rule.moment(k) == pytest.approx(expected, rel=1e-9)
 
+    def test_underflowing_order_named(self):
+        with pytest.raises(ValueError, match=r"order 200: \d+ of its weights underflow to 0"):
+            gauss_laguerre_gamma(200)
+
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
             gauss_laguerre_gamma(0)
@@ -104,9 +110,11 @@ class TestGridAndTestFunction:
         with pytest.raises(ValueError):
             GridSpace(())
 
-    def test_default_point_labels(self):
+    def test_default_point_labels(self, nu2):
+        # points are labelled by index, in the export header only
         grid = GridSpace((1.0, 2.0))
-        assert grid.points == ("x0", "x1")
+        op = full(TestFunction.constant(grid), FockSpace(grid, nu2, stieltjes(nu2, 2), 1))
+        assert "# grid-points x0 x1" in export_lines(op).header
         assert grid.size == 2
 
     def test_function_length_must_match(self, g1):

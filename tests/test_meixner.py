@@ -14,13 +14,13 @@ from levyfock import (
     TestFunction,
     annihilation,
     detect,
-    meixner_annihilation,
-    meixner_neutral,
     neutral,
     stieltjes,
 )
 from levyfock.fock import symmetric_basis
 from levyfock.meixner import GAMMA_TYPE, MEIXNER_TYPE, PASCAL_TYPE
+
+from conftest import meixner_annihilation, meixner_neutral, sym_at, symmetric_from
 
 
 def synthetic_table(a_of_n, b_of_n, depth):
@@ -99,9 +99,11 @@ class TestDetect:
 
 
 class TestClosedForms:
+    """The closed-form oracles of ``conftest`` on hand-computed values."""
+
     def test_neutral_level_zero(self, g1):
         phi = TestFunction.constant(g1)
-        f = SymmetricTensor.from_function(g1, 0, lambda r: 1.0)
+        f = symmetric_from(g1, 0, lambda r: 1.0)
         out = meixner_neutral(phi, f, 2.0)
         assert out.values == pytest.approx([0.0])
 
@@ -111,13 +113,13 @@ class TestClosedForms:
         f = SymmetricTensor(grid, 1, np.array([2.0, -1.0]))
         out = meixner_neutral(phi, f, 1.5)
         for x in range(2):
-            assert out.value((x,)) == pytest.approx(1.5 * phi[x] * f.value((x,)))
+            assert sym_at(out, (x,)) == pytest.approx(1.5 * phi[x] * sym_at(f, (x,)))
 
     def test_neutral_level_two_single_point(self, g1):
         phi = TestFunction.constant(g1)
-        f = SymmetricTensor.from_function(g1, 2, lambda r: 3.0)
+        f = symmetric_from(g1, 2, lambda r: 3.0)
         out = meixner_neutral(phi, f, 2.0)
-        assert out.value((0, 0)) == pytest.approx(2.0 * 2.0 * 3.0)
+        assert sym_at(out, (0, 0)) == pytest.approx(2.0 * 2.0 * 3.0)
 
     def test_annihilation_level_one(self):
         grid = GridSpace((0.8, 1.4))
@@ -125,26 +127,26 @@ class TestClosedForms:
         f = SymmetricTensor(grid, 1, np.array([2.0, -1.0]))
         out = meixner_annihilation(phi, f, 1.0, mass=0.7)
         expected = 0.7 * math.fsum(
-            grid.weights[i] * phi[i] * f.value((i,)) for i in range(2)
+            grid.weights[i] * phi[i] * sym_at(f, (i,)) for i in range(2)
         )
         assert out.values == pytest.approx([expected])
 
     def test_annihilation_level_two_single_point(self, g1):
         phi = TestFunction.constant(g1)
-        f = SymmetricTensor.from_function(g1, 2, lambda r: 3.0)
+        f = symmetric_from(g1, 2, lambda r: 3.0)
         out = meixner_annihilation(phi, f, 1.0, mass=1.0)
         sigma = g1.weights[0]
         expected = 2.0 * 1.0 * sigma * 1.0 * 3.0 + 2.0 * 1.0 * 1.0 * 3.0
-        assert out.value((0,)) == pytest.approx(expected)
+        assert sym_at(out, (0,)) == pytest.approx(expected)
 
     def test_annihilation_linear_in_phi(self, g1):
         zero_phi = TestFunction.constant(g1, 0.0)
-        f = SymmetricTensor.from_function(g1, 3, lambda r: 2.0)
+        f = symmetric_from(g1, 3, lambda r: 2.0)
         out = meixner_annihilation(zero_phi, f, 1.0, mass=1.0)
         assert np.all(out.values == 0.0)
 
     def test_annihilation_needs_positive_level(self, g1):
-        f = SymmetricTensor.from_function(g1, 0, lambda r: 1.0)
+        f = symmetric_from(g1, 0, lambda r: 1.0)
         with pytest.raises(ValueError):
             meixner_annihilation(TestFunction.constant(g1), f, 1.0, mass=1.0)
 

@@ -20,9 +20,15 @@ from levyfock import (
     stieltjes,
 )
 from levyfock.fock import symmetric_basis
-from levyfock.moments import _pairing_coefficients
 
-from conftest import poly_expectation, poly_product, random_measure, wick_coefficients
+from conftest import (
+    poly_expectation,
+    poly_product,
+    pairing_coefficients,
+    random_measure,
+    symmetric_from,
+    wick_coefficients,
+)
 
 
 def set_partitions(items):
@@ -124,12 +130,12 @@ class TestCumulantModel:
 class TestChaosOracle:
     def test_vacuum_level(self, nu2, g1):
         model = CumulantModel(nu2, g1)
-        one = SymmetricTensor.from_function(g1, 0, lambda r: 1.0)
+        one = symmetric_from(g1, 0, lambda r: 1.0)
         assert chaos_inner_product(one, one, model, 0) == pytest.approx(1.0)
 
     def test_level_one(self, nu2, g1):
         model = CumulantModel(nu2, g1)
-        f = SymmetricTensor.from_function(g1, 1, lambda r: 1.0)
+        f = symmetric_from(g1, 1, lambda r: 1.0)
         assert chaos_inner_product(f, f, model, 1) == pytest.approx(2.0)
 
     def test_level_two_wick_square(self, nu2, g1):
@@ -137,7 +143,7 @@ class TestChaosOracle:
         # fourth moment fourteen the projected second moment is ten,
         # divided by two factorial
         model = CumulantModel(nu2, g1)
-        f = SymmetricTensor.from_function(g1, 2, lambda r: 1.0)
+        f = symmetric_from(g1, 2, lambda r: 1.0)
         assert chaos_inner_product(f, f, model, 2) == pytest.approx(5.0)
 
     @pytest.mark.parametrize("measure_name", ["nu2", "nup"])
@@ -207,7 +213,7 @@ class TestChaosOracle:
                 g = SymmetricTensor(
                     grid, m, rng.normal(0, 1, symmetric_basis(m, grid).dim)
                 )
-                raw = _pairing_coefficients(g)
+                raw = pairing_coefficients(g)
                 cross = poly_expectation(poly_product(wick, raw), model)
                 lower_norm = poly_expectation(poly_product(raw, raw), model)
                 assert abs(cross) <= 1e-9 * max(1.0, math.sqrt(norm * lower_norm))
@@ -215,7 +221,7 @@ class TestChaosOracle:
     def test_scale_guard(self, nu2):
         grid = GridSpace(tuple([1.0] * 60))
         model = CumulantModel(nu2, grid)
-        f = SymmetricTensor.zeros(grid, 3)
+        f = symmetric_from(grid, 3, lambda r: 0.0)
         with pytest.raises(ValueError, match="oracle scale exceeded"):
             chaos_inner_product(f, f, model, 3)
 
@@ -225,7 +231,7 @@ class TestChaosOracle:
         # garbage
         grid = GridSpace((1e-30,))
         model = CumulantModel(nu2, grid)
-        f = SymmetricTensor.from_function(grid, 2, lambda r: 1.0)
+        f = symmetric_from(grid, 2, lambda r: 1.0)
         with pytest.raises(ValueError, match="ill-conditioned"):
             chaos_inner_product(f, f, model, 2)
         # the level's Gram matrix is kept on the model; a second call must
