@@ -11,7 +11,6 @@ from .fock import (
     MultiIndex,
     SymmetricTensor,
     block_weight,
-    diagonal_restriction,
     inner_product,
     level_inner_product,
     partitions,
@@ -50,7 +49,6 @@ __all__ = [
     "chaos_inner_product",
     "creation",
     "detect",
-    "diagonal_restriction",
     "export_lines",
     "full",
     "gauss_laguerre_gamma",

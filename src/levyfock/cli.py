@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .fock import FockSpace, SymmetricTensor, level_inner_product, symmetric_basis
+from .fock import FockSpace, MultiIndex, SymmetricTensor, level_inner_product
 from .jacobi import (
     OperatorExport,
     adjoint_defect,
@@ -385,12 +385,12 @@ def cmd_oracle_check(cfg: RunConfig, report: Report) -> int:
     level_worst = []
     pairs = 0
     for n in range(cfg.oracle_levels + 1):
-        basis = symmetric_basis(n, grid)
+        dim = space.basis(MultiIndex((n,))).dim
         errors = []
-        tensors = [SymmetricTensor.basis_element(grid, n, i) for i in range(basis.dim)]
+        tensors = [SymmetricTensor.basis_element(grid, n, i) for i in range(dim)]
         embedded = [space.embed_symmetric(f) for f in tensors]
-        for i in range(basis.dim):
-            for j in range(i, basis.dim):
+        for i in range(dim):
+            for j in range(i, dim):
                 block_value = level_inner_product(embedded[i], embedded[j], n)
                 oracle_value = chaos_inner_product(tensors[i], tensors[j], model, n)
                 err = abs(block_value - oracle_value) / max(1.0, abs(oracle_value))

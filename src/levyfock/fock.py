@@ -22,10 +22,11 @@ tuples per part size.  A representative's position needs no lookup
 table: it is the mixed-radix number, in part-size order, of each
 segment's lexicographic rank, and that rank is a sum of binomial
 coefficients, so whole arrays of tuples are ranked at once.  Block values
-are plain arrays in that order (a vector's ``v[n, alpha]`` view).  A
-plain symmetric level-n tensor is the all-singletons block of level n,
-so it uses that block's basis; its diagonal restriction to any other
-block of level n is one gather.  Summations
+are plain arrays in that order (a vector's ``v[n, alpha]`` view).  The
+space builds each block basis on first use and keeps it, so a basis lives
+exactly as long as its space.  A plain symmetric level-n tensor is stored
+in the layout of the all-singletons block of level n; the space embeds it
+in every block of level n by one gather.  Summations
 run in enumeration order, so vectors, operators and reports are
 bit-stable across runs.  All inputs are immutable, so concurrent use is
 safe; results are identical to sequential execution.
@@ -35,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
 
@@ -51,9 +52,7 @@ __all__ = [
     "BlockBasis",
     "block_basis",
     "segment_rank",
-    "symmetric_basis",
     "SymmetricTensor",
-    "diagonal_restriction",
     "FockSpace",
     "ExtendedFockVector",
     "inner_product",
@@ -120,11 +119,6 @@ class MultiIndex:
         mults = list(self.multiplicities)
         mults[k - 1] -= 1
         return MultiIndex(tuple(mults))
-
-    def __str__(self) -> str:
-        if not self.multiplicities:
-            return "-"
-        return ",".join(str(m) for m in self.multiplicities)
 
 
 def _partition_parts(n: int, largest: int) -> Iterator[tuple[int, ...]]:
@@ -311,7 +305,6 @@ class BlockBasis:
         return self.compose(ranks, len(tuples))
 
 
-@lru_cache(maxsize=None)
 def block_basis(alpha: MultiIndex, grid: GridSpace) -> BlockBasis:
     offsets = []
     start = 0
@@ -336,33 +329,30 @@ def block_basis(alpha: MultiIndex, grid: GridSpace) -> BlockBasis:
     )
 
 
-def symmetric_basis(level: int, grid: GridSpace) -> BlockBasis:
-    """Sorted-tuple enumeration of fully symmetric level-n functions: the
-    block basis of the all-singletons index."""
+def _symmetric_dim(grid: GridSpace, level: int) -> int:
+    """Number of sorted ``level``-tuples of grid points."""
     if level < 0:
         raise ValueError("level must be nonnegative")
-    return block_basis(MultiIndex((level,)), grid)
+    return math.comb(grid.size + level - 1, level)
 
 
 @dataclass
 class SymmetricTensor:
     """Fully symmetric function of ``level`` grid variables, stored on sorted
-    tuples in lexicographic order: the all-singletons block basis."""
+    tuples in lexicographic order: the all-singletons block layout."""
 
     grid: GridSpace
     level: int
     values: np.ndarray
-    basis: BlockBasis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.basis = symmetric_basis(self.level, self.grid)
-        if self.values.shape != (self.basis.dim,):
+        if self.values.shape != (_symmetric_dim(self.grid, self.level),):
             raise ValueError("value array does not match the sorted-tuple basis")
 
     @classmethod
     def basis_element(cls, grid: GridSpace, level: int, idx: int) -> SymmetricTensor:
-        values = np.zeros(symmetric_basis(level, grid).dim)
+        values = np.zeros(_symmetric_dim(grid, level))
         values[idx] = 1.0
         return cls(grid, level, values)
 
@@ -374,25 +364,6 @@ def _sort_rows(rows: np.ndarray) -> None:
     for step in range(width):
         lo, hi = rows[:, step % 2 : width - 1 : 2], rows[:, step % 2 + 1 : width : 2]
         lo[:], hi[:] = np.minimum(lo, hi), np.maximum(lo, hi)
-
-
-def diagonal_restriction(f: SymmetricTensor, alpha: MultiIndex) -> np.ndarray:
-    """Block values of a symmetric tensor: each part-k coordinate repeated k times.
-
-    The layout follows the block convention: singleton coordinates first,
-    then the coordinates repeated twice, and so on.  Each block
-    representative expands to a level-``f.level`` tuple, sorted and ranked
-    in the symmetric basis.
-    """
-    if alpha.degree != f.level:
-        raise ValueError(
-            f"degree mismatch: block index has degree {alpha.degree}, tensor level {f.level}"
-        )
-    basis = block_basis(alpha, f.grid)
-    repeats = [k for k, (s, e) in enumerate(basis.offsets, start=1) for _ in range(s, e)]
-    expanded = np.repeat(basis.reps, repeats, axis=1)
-    _sort_rows(expanded)
-    return f.values[f.basis.rank(expanded)]
 
 
 class FockSpace:
@@ -442,9 +413,10 @@ class FockSpace:
         stop = 0
         for key in self._weights:
             start = stop
-            stop += math.prod(math.comb(grid.size + m - 1, m) for m in key[1].multiplicities)
+            stop += math.prod(_symmetric_dim(grid, m) for m in key[1].multiplicities)
             self._slices[key] = slice(start, stop)
         self.dim = stop
+        self._bases: dict[MultiIndex, BlockBasis] = {}
 
     def blocks(self, n: int) -> tuple[MultiIndex, ...]:
         if not 0 <= n <= self.depth:
@@ -462,7 +434,11 @@ class FockSpace:
         return self._weights[(n, alpha)]
 
     def basis(self, alpha: MultiIndex) -> BlockBasis:
-        return block_basis(alpha, self.grid)
+        """Basis of block ``alpha``, built on first use and kept with the space."""
+        basis = self._bases.get(alpha)
+        if basis is None:
+            basis = self._bases[alpha] = block_basis(alpha, self.grid)
+        return basis
 
     @cached_property
     def flat_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -511,14 +487,21 @@ class FockSpace:
         return v
 
     def embed_symmetric(self, f: SymmetricTensor) -> ExtendedFockVector:
-        """Level-``f.level`` vector whose blocks are the diagonal restrictions of ``f``."""
+        """Level-``f.level`` vector whose blocks are the diagonal restrictions of
+        ``f``: each representative, its part-k coordinates repeated k times, is
+        sorted and ranked in the all-singletons basis."""
         if f.level > self.depth:
             raise ValueError("tensor level exceeds the truncation depth")
         if f.grid != self.grid:
             raise ValueError("grid mismatch")
         v = self.zero()
+        symmetric = self.basis(MultiIndex((f.level,)))
         for alpha in self.blocks(f.level):
-            v[f.level, alpha][:] = diagonal_restriction(f, alpha)
+            basis = self.basis(alpha)
+            repeats = [k for k, (s, e) in enumerate(basis.offsets, start=1) for _ in range(s, e)]
+            expanded = np.repeat(basis.reps, repeats, axis=1)
+            _sort_rows(expanded)
+            v[f.level, alpha][:] = f.values[symmetric.rank(expanded)]
         return v
 
 

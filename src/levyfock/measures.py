@@ -129,10 +129,6 @@ class TestFunction:
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("test function values must be finite")
 
-    @classmethod
-    def constant(cls, grid: GridSpace, value: float = 1.0) -> TestFunction:
-        return cls(grid, (float(value),) * grid.size)
-
     def __getitem__(self, i: int) -> float:
         return self.values[i]
 

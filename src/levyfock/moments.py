@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .fock import SymmetricTensor
 from .measures import GridSpace, JumpMeasure, TestFunction
+
+if TYPE_CHECKING:
+    from .fock import SymmetricTensor
 
 __all__ = ["moments_from_cumulants", "CumulantModel", "chaos_inner_product"]
 
@@ -134,35 +136,34 @@ class CumulantModel:
         return self._lower[level]
 
 
+def _exponents(size: int, degree: int) -> Iterator[tuple[int, ...]]:
+    """Exponent vectors of the sorted ``degree``-tuples of grid points, in
+    lexicographic tuple order."""
+    for combo in itertools.combinations_with_replacement(range(size), degree):
+        exps = [0] * size
+        for i in combo:
+            exps[i] += 1
+        yield tuple(exps)
+
+
 def _monomials_up_to(size: int, degree: int) -> list[tuple[int, ...]]:
-    out = []
-    for d in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(size), d):
-            exps = [0] * size
-            for i in combo:
-                exps[i] += 1
-            out.append(tuple(exps))
-    return out
+    return [exps for d in range(degree + 1) for exps in _exponents(size, d)]
 
 
 def _pairing_coefficients(f: SymmetricTensor) -> dict[tuple[int, ...], float]:
     """Monomial coefficients of the degree-n pairing of the noise with ``f``.
 
     Summing the tensor over all coordinate tuples groups into one monomial
-    per sorted tuple, with the arrangement count as combinatorial factor.
+    per sorted tuple (the order of ``f.values``), with the arrangement
+    count ``n! / prod(e!)`` over its exponents as combinatorial factor.
     Monomials whose coefficient is zero are left out.
     """
-    basis = f.basis
-    coeffs: dict[tuple[int, ...], float] = {}
-    for i, rep in enumerate(basis.reps.tolist()):
-        value = basis.mult[i] * float(f.values[i])
-        if value == 0.0:
-            continue
-        exps = [0] * f.grid.size
-        for p in rep:
-            exps[p] += 1
-        coeffs[tuple(exps)] = value
-    return coeffs
+    n = f.level
+    return {
+        exps: math.factorial(n) // math.prod(map(math.factorial, exps)) * value
+        for exps, value in zip(_exponents(f.grid.size, n), f.values.tolist())
+        if value != 0.0
+    }
 
 
 def chaos_inner_product(

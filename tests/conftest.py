@@ -15,6 +15,7 @@ import pytest
 
 from levyfock import (
     CumulantModel,
+    FockSpace,
     GridSpace,
     JumpMeasure,
     MultiIndex,
@@ -61,9 +62,24 @@ def random_measure(rng: np.random.Generator, atoms: int) -> JumpMeasure:
     return JumpMeasure(tuple(locations), tuple(weights))
 
 
+def constant(grid: GridSpace, value: float = 1.0) -> TestFunction:
+    """Test function with the same value at every grid point."""
+    return TestFunction(grid, (float(value),) * grid.size)
+
+
+def alpha_id(alpha: MultiIndex) -> str:
+    """Test id of a block index: its multiplicities, ``-`` for the empty one."""
+    return ",".join(map(str, alpha.multiplicities)) or "-"
+
+
 def sorted_tuples(size: int, m: int) -> list[tuple[int, ...]]:
     """Sorted m-tuples of grid points ``0 .. size - 1``, lexicographically."""
     return list(itertools.combinations_with_replacement(range(size), m))
+
+
+def symmetric_dim(level: int, grid: GridSpace) -> int:
+    """Length of a level-n symmetric tensor's value array: its sorted tuples."""
+    return len(sorted_tuples(grid.size, level))
 
 
 def arrangements(segment) -> int:
@@ -104,6 +120,15 @@ def at(values, alpha: MultiIndex, grid: GridSpace, tpl) -> float:
 def sym_at(f: SymmetricTensor, tpl) -> float:
     """Value of a symmetric tensor at an arbitrary tuple."""
     return at(f.values, MultiIndex((f.level,)), f.grid, tpl)
+
+
+def restriction(f: SymmetricTensor, alpha: MultiIndex) -> np.ndarray:
+    """Block ``alpha`` of ``f`` embedded in a space just deep enough for it:
+    unit atoms at ``1 .. max(level, 1)``, a table as deep as the level."""
+    depth = max(f.level, 1)
+    measure = JumpMeasure(tuple(float(s) for s in range(1, depth + 1)), (1.0,) * depth)
+    space = FockSpace(f.grid, measure, stieltjes(measure, depth), f.level)
+    return space.embed_symmetric(f)[f.level, alpha]
 
 
 def symmetric_from(grid: GridSpace, level: int, fn) -> SymmetricTensor:

@@ -33,10 +33,9 @@ from levyfock import (
     symmetry_defect,
     vacuum_moments,
 )
-from levyfock.fock import symmetric_basis
 from levyfock.moments import chaos_inner_product
 
-from conftest import meixner_annihilation, meixner_neutral, random_measure
+from conftest import constant, meixner_annihilation, meixner_neutral, random_measure, symmetric_dim
 
 NU2 = JumpMeasure((-1.0, 1.0), (0.5, 0.5))
 NUP = JumpMeasure((1.0,), (1.0,))
@@ -60,7 +59,7 @@ def test_criterion_1_moment_identity():
     """Vacuum moments of the assembled field equal cumulant-oracle moments."""
     start = time.perf_counter()
     g1 = GridSpace((2.0,))
-    phi = TestFunction.constant(g1)
+    phi = constant(g1)
     operator_side, oracle_side, errors = _moment_comparison(NU2, g1, phi, 6, 6)
     assert operator_side[2] == pytest.approx(2.0, rel=1e-8)
     assert operator_side[4] == pytest.approx(14.0, rel=1e-8)
@@ -108,13 +107,13 @@ def test_criterion_3_chaos_oracle_equivalence():
         space = FockSpace(grid, measure, table, 3)
         model = CumulantModel(measure, grid)
         for n in range(4):
-            basis = symmetric_basis(n, grid)
+            dim = symmetric_dim(n, grid)
             embedded = [
                 space.embed_symmetric(SymmetricTensor.basis_element(grid, n, i))
-                for i in range(basis.dim)
+                for i in range(dim)
             ]
-            for i in range(basis.dim):
-                for j in range(basis.dim):
+            for i in range(dim):
+                for j in range(dim):
                     fi = SymmetricTensor.basis_element(grid, n, i)
                     fj = SymmetricTensor.basis_element(grid, n, j)
                     oracle = chaos_inner_product(fi, fj, model, n)
@@ -159,7 +158,7 @@ def test_criterion_5_meixner_closed_forms():
         op_neutral = neutral(phi, space)
         op_minus = annihilation(phi, space)
         for n in range(5):
-            for idx in range(symmetric_basis(n, grid).dim):
+            for idx in range(symmetric_dim(n, grid)):
                 f = SymmetricTensor.basis_element(grid, n, idx)
                 embedded = space.embed_symmetric(f)
 
@@ -194,7 +193,7 @@ def test_criterion_6_combinatorics():
 def test_criterion_7_negative_control():
     """A ten-percent fault on the first off-diagonal coefficient must be caught."""
     g1 = GridSpace((2.0,))
-    phi = TestFunction.constant(g1)
+    phi = constant(g1)
     table = stieltjes(NU2, 2).with_scaled_b(1, 1.1)
     space = FockSpace(g1, NU2, table, 6)
     operator_side = vacuum_moments(phi, space, 6)

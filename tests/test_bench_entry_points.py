@@ -28,4 +28,3 @@ def test_every_traced_site_exists(tracer):
 def test_shape_reads_exist():
     assert callable(fock.FockSpace.block_keys)
     assert callable(fock.FockSpace.basis)
-    assert callable(fock.block_basis.cache_info)

@@ -15,15 +15,19 @@ import numpy as np
 import pytest
 
 from levyfock import GridSpace, MultiIndex, SymmetricTensor
-from levyfock.fock import (
-    _multiplicity,
-    block_basis,
-    diagonal_restriction,
-    partitions,
-    symmetric_basis,
-)
+from levyfock.fock import _multiplicity, block_basis, partitions
 
-from conftest import arrangements, at, block_reps, segment_bounds, sym_at, symmetric_from
+from conftest import (
+    alpha_id,
+    arrangements,
+    at,
+    block_reps,
+    restriction,
+    segment_bounds,
+    sym_at,
+    symmetric_dim,
+    symmetric_from,
+)
 
 GRIDS = [
     GridSpace((2.0,)),
@@ -42,7 +46,7 @@ def reference_basis(alpha: MultiIndex, grid: GridSpace):
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"G{g.size}")
-@pytest.mark.parametrize("alpha", BLOCKS, ids=str)
+@pytest.mark.parametrize("alpha", BLOCKS, ids=alpha_id)
 def test_matches_reference(alpha, grid):
     basis = block_basis(alpha, grid)
     reps, mult, sigma = reference_basis(alpha, grid)
@@ -95,21 +99,21 @@ def reference_restriction(f: SymmetricTensor, alpha: MultiIndex) -> np.ndarray:
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"G{g.size}")
-@pytest.mark.parametrize("alpha", BLOCKS, ids=str)
+@pytest.mark.parametrize("alpha", BLOCKS, ids=alpha_id)
 def test_diagonal_restriction_matches_reference(alpha, grid):
     rng = np.random.default_rng(7)
     n = alpha.degree
-    f = SymmetricTensor(grid, n, rng.normal(0, 1, symmetric_basis(n, grid).dim))
-    got = diagonal_restriction(f, alpha)
+    f = SymmetricTensor(grid, n, rng.normal(0, 1, symmetric_dim(n, grid)))
+    got = restriction(f, alpha)
     assert got.tobytes() == reference_restriction(f, alpha).tobytes()
 
 
-@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"G{g.size}")
-def test_symmetric_basis_is_the_all_singletons_block(grid):
-    for n in range(5):
-        assert symmetric_basis(n, grid) is block_basis(MultiIndex((n,)), grid)
+def test_symmetric_tensor_rejects_negative_level():
+    grid = GRIDS[1]
     with pytest.raises(ValueError, match="level must be nonnegative"):
-        symmetric_basis(-1, grid)
+        SymmetricTensor(grid, -1, np.zeros(1))
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        SymmetricTensor.basis_element(grid, -1, 0)
 
 
 def test_multiplicity_past_int64_factorials():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from levyfock import (
     JumpMeasure,
     MultiIndex,
     block_weight,
-    diagonal_restriction,
     inner_product,
     level_inner_product,
     partitions,
@@ -22,7 +23,15 @@ from levyfock import (
 )
 from levyfock.fock import ExtendedFockVector, block_basis
 
-from conftest import at, block_reps, block_symmetrize, segment_bounds, sym_at, symmetric_from
+from conftest import (
+    at,
+    block_reps,
+    block_symmetrize,
+    restriction,
+    segment_bounds,
+    sym_at,
+    symmetric_from,
+)
 
 
 def brute_force_partition_count(n: int, max_part: int) -> int:
@@ -114,30 +123,24 @@ class TestDiagonalRestriction:
     def test_full_diagonal(self):
         grid = GridSpace((1.0, 2.0))
         f = symmetric_from(grid, 2, lambda rep: float(sum(rep)) + 1.0)
-        block = diagonal_restriction(f, MultiIndex((0, 1)))
+        block = restriction(f, MultiIndex((0, 1)))
         for i in range(grid.size):
             assert block[i] == sym_at(f, (i, i))
 
     def test_no_duplication_is_identity(self):
         grid = GridSpace((1.0, 0.5, 2.0))
         f = symmetric_from(grid, 3, lambda rep: float(sum(rep)))
-        block = diagonal_restriction(f, MultiIndex((3,)))
+        block = restriction(f, MultiIndex((3,)))
         assert block.tobytes() == f.values.tobytes()
 
     def test_mixed_layout_singleton_first(self):
         grid = GridSpace((1.0, 2.0))
         f = symmetric_from(grid, 3, lambda rep: float(rep[0] + 10 * rep[1] + 100 * rep[2]))
         alpha = MultiIndex((1, 1))
-        block = diagonal_restriction(f, alpha)
+        block = restriction(f, alpha)
         # first coordinate enters once, second twice
         assert at(block, alpha, grid, (0, 1)) == sym_at(f, (0, 1, 1))
         assert at(block, alpha, grid, (1, 0)) == sym_at(f, (1, 0, 0))
-
-    def test_degree_mismatch(self):
-        grid = GridSpace((1.0,))
-        f = symmetric_from(grid, 2, lambda rep: 1.0)
-        with pytest.raises(ValueError, match="degree mismatch"):
-            diagonal_restriction(f, MultiIndex((1,)))
 
     def test_agrees_with_explicit_average_of_elementary_products(self):
         # symmetrize an elementary product by hand, evaluate on duplicated
@@ -155,7 +158,7 @@ class TestDiagonalRestriction:
 
             f = symmetric_from(grid, n, elementary_symmetrized)
             for alpha in partitions(n):
-                block = diagonal_restriction(f, alpha)
+                block = restriction(f, alpha)
                 for i, rep in enumerate(block_reps(alpha, grid)):
                     expanded = []
                     for k, (s, e) in enumerate(segment_bounds(alpha), start=1):
@@ -337,6 +340,15 @@ class TestFockSpace:
             shallow.space.level_start(-1)
         assert shallow.space.level_start(3) == shallow.space.dim
         assert level_inner_product(deep, shallow, 0) == 1.0
+
+    def test_bases_live_with_their_space(self, nu2):
+        space = FockSpace(GridSpace((0.7, 1.1, 1.3)), nu2, stieltjes(nu2, 2), 3)
+        alpha = MultiIndex((1, 1))
+        assert space.basis(alpha) is space.basis(alpha)
+        basis = weakref.ref(space.basis(alpha))
+        del space
+        gc.collect()
+        assert basis() is None
 
     @pytest.mark.parametrize("grid_size,depth", [(1, 8), (2, 5), (4, 4)])
     def test_closed_form_layout_matches_enumeration(self, gamma40, grid_size, depth):

@@ -1,5 +1,6 @@
-"""Source hygiene, read with ``ast``: no unused imports, and the shared test
-oracles import only the package's public names."""
+"""Source hygiene, read with ``ast``: no unused imports, the shared test
+oracles import only the package's public names, and the chaos oracle loads
+no block code at run time."""
 from __future__ import annotations
 
 import ast
@@ -52,3 +53,39 @@ def test_conftest_imports_only_public_names():
             imported += [prefix + a.name for a in node.names]
     assert imported
     assert [name for name in imported if name not in levyfock.__all__] == []
+
+
+def runtime_imports(tree: ast.Module) -> list[str]:
+    """Dotted names imported outside ``if TYPE_CHECKING:`` blocks, relative
+    ones with their leading dots."""
+    guarded = {
+        id(node)
+        for branch in ast.walk(tree)
+        if isinstance(branch, ast.If) and ast.unparse(branch.test).endswith("TYPE_CHECKING")
+        for statement in branch.body
+        for node in ast.walk(statement)
+    }
+    names = []
+    for node in ast.walk(tree):
+        if id(node) in guarded:
+            continue
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (f"{node.module}." if node.module else "")
+            names += [module + a.name for a in node.names]
+    return names
+
+
+def block_code(names: list[str]) -> list[str]:
+    return [name for name in names if {"fock", "jacobi"} & set(name.split("."))]
+
+
+def test_oracle_imports_no_block_code():
+    sample = ast.parse(
+        "from typing import TYPE_CHECKING\nfrom . import jacobi\nfrom .fock import F\n"
+        "if TYPE_CHECKING:\n    from levyfock.fock import G\n"
+    )
+    assert block_code(runtime_imports(sample)) == [".jacobi", ".fock.F"]
+    moments = ROOT / "src" / "levyfock" / "moments.py"
+    assert block_code(runtime_imports(ast.parse(moments.read_text(encoding="utf-8")))) == []

@@ -26,19 +26,21 @@ from levyfock import (
     vacuum_moments,
 )
 from levyfock import jacobi
-from levyfock.fock import ExtendedFockVector, symmetric_basis
+from levyfock.fock import ExtendedFockVector
 from levyfock.jacobi import FieldOperator, measure_hash
 
 from conftest import (
     at,
     block_reps,
     block_symmetrize,
+    constant,
     poly_expectation,
     poly_product,
     random_measure,
     segment_bounds,
     sym_at,
     sym_tensor_product,
+    symmetric_dim,
     wick_coefficients,
 )
 
@@ -83,7 +85,7 @@ class TestCreation:
 
     def test_vacuum_image_norm(self, nu2, g1):
         space = FockSpace(g1, nu2, stieltjes(nu2, 2), 2)
-        phi = TestFunction.constant(g1)
+        phi = constant(g1)
         image = creation(annihilation(phi, space)).apply(space.vacuum())
         assert inner_product(image, image) == pytest.approx(2.0)
 
@@ -103,7 +105,7 @@ class TestCreation:
         rng = np.random.default_rng(0)
         op = creation(annihilation(phi, space))
         for n in range(3):
-            f = SymmetricTensor(grid, n, rng.normal(0, 1, symmetric_basis(n, grid).dim))
+            f = SymmetricTensor(grid, n, rng.normal(0, 1, symmetric_dim(n, grid)))
             image = op.apply(space.embed_symmetric(f))
             expected = space.embed_symmetric(sym_tensor_product(phi, f))
             for alpha in space.blocks(n + 1):
@@ -314,14 +316,14 @@ def _multiplication_pairing_deviation(measure, table_depth, space_depth, levels)
     }
     worst = 0.0
     for n in levels:
-        for fi in range(symmetric_basis(n, grid).dim):
+        for fi in range(symmetric_dim(n, grid)):
             f = SymmetricTensor.basis_element(grid, n, fi)
             wick_f = wick_coefficients(f, model)
             image = op.apply(space.embed_symmetric(f))
             for m in (n - 1, n, n + 1):
                 if m < 0 or m not in levels or m > space.depth:
                     continue
-                for gi in range(symmetric_basis(m, grid).dim):
+                for gi in range(symmetric_dim(m, grid)):
                     g = SymmetricTensor.basis_element(grid, m, gi)
                     wick_g = wick_coefficients(g, model)
                     truth = poly_expectation(
@@ -386,7 +388,7 @@ class TestFullOperator:
             full(phi, space).apply(other.vacuum())
 
     def test_first_moment_vanishes(self, nu2_space, g1):
-        phi = TestFunction.constant(g1)
+        phi = constant(g1)
         op = full(phi, nu2_space)
         image = op.apply(nu2_space.vacuum())
         assert inner_product(nu2_space.vacuum(), image) == pytest.approx(0.0, abs=1e-14)
@@ -394,17 +396,17 @@ class TestFullOperator:
 
 class TestVacuumMoments:
     def test_zeroth(self, nu2_space, g1):
-        assert vacuum_moments(TestFunction.constant(g1), nu2_space, 0)[0] == 1.0
+        assert vacuum_moments(constant(g1), nu2_space, 0)[0] == 1.0
 
     def test_worked_values(self, nu2_space, g1):
-        phi = TestFunction.constant(g1)
+        phi = constant(g1)
         moments = vacuum_moments(phi, nu2_space, 6)
         assert moments[2] == pytest.approx(2.0)
         assert moments[4] == pytest.approx(14.0)
         assert moments[6] == pytest.approx(182.0)
 
     def test_truncation_guard(self, nu2_space, g1):
-        phi = TestFunction.constant(g1)
+        phi = constant(g1)
         with pytest.raises(ValueError, match="truncation too shallow"):
             vacuum_moments(phi, nu2_space, 14)
         assert len(vacuum_moments(phi, nu2_space, 13)) == 14
@@ -454,7 +456,7 @@ class TestVacuumMoments:
         measure = random_measure(rng, 12)
         grid = GridSpace((2.0,))
         space = FockSpace(grid, measure, stieltjes(measure, 10), 10)
-        phi = TestFunction.constant(grid)
+        phi = constant(grid)
         model = CumulantModel(measure, grid)
         expected = [1.0] + moments_from_cumulants(
             [model.cumulant(phi, p) for p in range(1, 11)]
@@ -595,7 +597,7 @@ class TestExport:
 
     def test_entries_reconstruct_application(self, nu2, g1):
         space = FockSpace(g1, nu2, stieltjes(nu2, 2), 3)
-        phi = TestFunction.constant(g1)
+        phi = constant(g1)
         op = full(phi, space)
         entries = [line.split() for line in export_lines(op) if not line.startswith("#")]
         keys = space.block_keys()
@@ -637,7 +639,7 @@ class TestSizePreflight:
         measure = random_measure(rng, 6)
         grid = GridSpace(tuple(rng.uniform(0.5, 1.5, 64)))
         space = FockSpace(grid, measure, stieltjes(measure, 6), 6)
-        phi = TestFunction.constant(grid)
+        phi = constant(grid)
         assert space.entry_bound() == 2_194_689_425
         for build in (annihilation, full):
             with pytest.raises(ValueError, match="up to 2,194,689,425 stored entries"):

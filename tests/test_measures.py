@@ -10,6 +10,8 @@ from levyfock import FockSpace, GridSpace, JumpMeasure, TestFunction, gauss_lagu
 from levyfock.jacobi import export_lines, full
 from levyfock.orthopoly import stieltjes
 
+from conftest import constant
+
 
 class TestJumpMeasure:
     def test_rejects_empty(self):
@@ -113,7 +115,7 @@ class TestGridAndTestFunction:
     def test_default_point_labels(self, nu2):
         # points are labelled by index, in the export header only
         grid = GridSpace((1.0, 2.0))
-        op = full(TestFunction.constant(grid), FockSpace(grid, nu2, stieltjes(nu2, 2), 1))
+        op = full(constant(grid), FockSpace(grid, nu2, stieltjes(nu2, 2), 1))
         assert "# grid-points x0 x1" in export_lines(op).header
         assert grid.size == 2
 
@@ -122,7 +124,7 @@ class TestGridAndTestFunction:
             TestFunction(g1, (1.0, 2.0))
 
     def test_constant(self, g1):
-        phi = TestFunction.constant(g1, 3.0)
+        phi = constant(g1, 3.0)
         assert phi[0] == 3.0
 
 

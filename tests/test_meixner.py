@@ -17,10 +17,16 @@ from levyfock import (
     neutral,
     stieltjes,
 )
-from levyfock.fock import symmetric_basis
 from levyfock.meixner import GAMMA_TYPE, MEIXNER_TYPE, PASCAL_TYPE
 
-from conftest import meixner_annihilation, meixner_neutral, sym_at, symmetric_from
+from conftest import (
+    constant,
+    meixner_annihilation,
+    meixner_neutral,
+    sym_at,
+    symmetric_dim,
+    symmetric_from,
+)
 
 
 def synthetic_table(a_of_n, b_of_n, depth):
@@ -102,7 +108,7 @@ class TestClosedForms:
     """The closed-form oracles of ``conftest`` on hand-computed values."""
 
     def test_neutral_level_zero(self, g1):
-        phi = TestFunction.constant(g1)
+        phi = constant(g1)
         f = symmetric_from(g1, 0, lambda r: 1.0)
         out = meixner_neutral(phi, f, 2.0)
         assert out.values == pytest.approx([0.0])
@@ -116,7 +122,7 @@ class TestClosedForms:
             assert sym_at(out, (x,)) == pytest.approx(1.5 * phi[x] * sym_at(f, (x,)))
 
     def test_neutral_level_two_single_point(self, g1):
-        phi = TestFunction.constant(g1)
+        phi = constant(g1)
         f = symmetric_from(g1, 2, lambda r: 3.0)
         out = meixner_neutral(phi, f, 2.0)
         assert sym_at(out, (0, 0)) == pytest.approx(2.0 * 2.0 * 3.0)
@@ -132,7 +138,7 @@ class TestClosedForms:
         assert out.values == pytest.approx([expected])
 
     def test_annihilation_level_two_single_point(self, g1):
-        phi = TestFunction.constant(g1)
+        phi = constant(g1)
         f = symmetric_from(g1, 2, lambda r: 3.0)
         out = meixner_annihilation(phi, f, 1.0, mass=1.0)
         sigma = g1.weights[0]
@@ -140,7 +146,7 @@ class TestClosedForms:
         assert sym_at(out, (0,)) == pytest.approx(expected)
 
     def test_annihilation_linear_in_phi(self, g1):
-        zero_phi = TestFunction.constant(g1, 0.0)
+        zero_phi = constant(g1, 0.0)
         f = symmetric_from(g1, 3, lambda r: 2.0)
         out = meixner_annihilation(zero_phi, f, 1.0, mass=1.0)
         assert np.all(out.values == 0.0)
@@ -148,7 +154,7 @@ class TestClosedForms:
     def test_annihilation_needs_positive_level(self, g1):
         f = symmetric_from(g1, 0, lambda r: 1.0)
         with pytest.raises(ValueError):
-            meixner_annihilation(TestFunction.constant(g1), f, 1.0, mass=1.0)
+            meixner_annihilation(constant(g1), f, 1.0, mass=1.0)
 
 
 @pytest.mark.parametrize("grid_weights", [(2.0,), (0.7, 1.3), (0.6, 1.1, 1.7)])
@@ -164,7 +170,7 @@ def test_closed_forms_match_general_assembler(gamma40, grid_weights):
     op_minus = annihilation(phi, space)
     rng = np.random.default_rng(17)
     for n in range(0, 5):
-        f = SymmetricTensor(grid, n, rng.normal(0, 1, symmetric_basis(n, grid).dim))
+        f = SymmetricTensor(grid, n, rng.normal(0, 1, symmetric_dim(n, grid)))
         embedded = space.embed_symmetric(f)
 
         got = op_neutral.apply(embedded)

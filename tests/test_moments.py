@@ -19,13 +19,14 @@ from levyfock import (
     moments_from_cumulants,
     stieltjes,
 )
-from levyfock.fock import symmetric_basis
 
 from conftest import (
+    constant,
+    pairing_coefficients,
     poly_expectation,
     poly_product,
-    pairing_coefficients,
     random_measure,
+    symmetric_dim,
     symmetric_from,
     wick_coefficients,
 )
@@ -87,18 +88,18 @@ class TestMomentsFromCumulants:
 class TestCumulantModel:
     def test_poisson_type_cumulants_constant(self, nup, g1):
         model = CumulantModel(nup, g1)
-        phi = TestFunction.constant(g1)
+        phi = constant(g1)
         for p in range(2, 7):
             assert model.cumulant(phi, p) == pytest.approx(2.0)
 
     def test_first_cumulant_vanishes(self, nu2, g1):
         model = CumulantModel(nu2, g1)
-        phi = TestFunction.constant(g1)
+        phi = constant(g1)
         assert model.cumulant(phi, 1) == 0.0
 
     def test_symmetric_measure_cumulants(self, nu2, g1):
         model = CumulantModel(nu2, g1)
-        phi = TestFunction.constant(g1)
+        phi = constant(g1)
         assert model.cumulant(phi, 2) == pytest.approx(2.0)
         assert model.cumulant(phi, 3) == 0.0
         assert model.cumulant(phi, 4) == pytest.approx(2.0)
@@ -156,13 +157,13 @@ class TestChaosOracle:
         space = FockSpace(grid, measure, table, 3)
         model = CumulantModel(measure, grid)
         for n in range(4):
-            basis = symmetric_basis(n, grid)
+            dim = symmetric_dim(n, grid)
             embedded = [
                 space.embed_symmetric(SymmetricTensor.basis_element(grid, n, i))
-                for i in range(basis.dim)
+                for i in range(dim)
             ]
-            for i in range(basis.dim):
-                for j in range(basis.dim):
+            for i in range(dim):
+                for j in range(dim):
                     fi = SymmetricTensor.basis_element(grid, n, i)
                     fj = SymmetricTensor.basis_element(grid, n, j)
                     oracle = chaos_inner_product(fi, fj, model, n)
@@ -206,12 +207,12 @@ class TestChaosOracle:
         model = CumulantModel(nu2, grid)
         rng = np.random.default_rng(8)
         for n in (1, 2, 3):
-            f = SymmetricTensor(grid, n, rng.normal(0, 1, symmetric_basis(n, grid).dim))
+            f = SymmetricTensor(grid, n, rng.normal(0, 1, symmetric_dim(n, grid)))
             wick = wick_coefficients(f, model)
             norm = poly_expectation(poly_product(wick, wick), model)
             for m in range(n):
                 g = SymmetricTensor(
-                    grid, m, rng.normal(0, 1, symmetric_basis(m, grid).dim)
+                    grid, m, rng.normal(0, 1, symmetric_dim(m, grid))
                 )
                 raw = pairing_coefficients(g)
                 cross = poly_expectation(poly_product(wick, raw), model)
@@ -256,7 +257,7 @@ class TestChaosOracle:
         grid = GridSpace((0.7, 1.1, 1.3))
         models = [CumulantModel(nu2, grid), CumulantModel(nup, grid)]
         for n in range(3):
-            dim = symmetric_basis(n, grid).dim
+            dim = symmetric_dim(n, grid)
             tensors = [SymmetricTensor.basis_element(grid, n, i) for i in range(dim)]
             for i in range(dim):
                 for j in range(i, dim):
