@@ -24,6 +24,7 @@ from conftest import (
     block_reps,
     restriction,
     segment_bounds,
+    sorted_tuples,
     sym_at,
     symmetric_dim,
     symmetric_from,
@@ -106,6 +107,22 @@ def test_diagonal_restriction_matches_reference(alpha, grid):
     f = SymmetricTensor(grid, n, rng.normal(0, 1, symmetric_dim(n, grid)))
     got = restriction(f, alpha)
     assert got.tobytes() == reference_restriction(f, alpha).tobytes()
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"G{g.size}")
+def test_symmetric_basis_is_the_all_singletons_block(grid):
+    # a level-n tensor is stored in the layout of block (n,): same tuples,
+    # and embedding it leaves its values unchanged in that block
+    rng = np.random.default_rng(9)
+    for n in range(5):
+        singletons = MultiIndex((n,))
+        assert list(map(tuple, block_basis(singletons, grid).reps.tolist())) == sorted_tuples(
+            grid.size, n
+        )
+        f = SymmetricTensor(grid, n, rng.normal(0, 1, symmetric_dim(n, grid)))
+        assert restriction(f, singletons).tobytes() == f.values.tobytes()
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        SymmetricTensor(grid, -1, np.zeros(1))
 
 
 def test_symmetric_tensor_rejects_negative_level():
