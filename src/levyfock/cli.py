@@ -15,7 +15,6 @@ validation or report-write error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -76,6 +75,8 @@ class Report:
         if self.body is not None:
             yield from self.body.chunks()
         if with_json:
+            import json  # loaded only when asked for: most runs never print it
+
             yield "json " + json.dumps(self.machine, sort_keys=True) + "\n"
 
 
@@ -319,7 +320,7 @@ def cmd_verify_moments(cfg: RunConfig, report: Report) -> int:
             failed.append(k)
     symmetry_bad = False
     if cfg.check_symmetry:
-        deep = FockSpace(grid, measure, space.table, cfg.depth)
+        deep = space.at_depth(cfg.depth)
         minus = annihilation(phi, deep)
         pair_defect = adjoint_defect(creation(minus), minus)
         neutral_defect = symmetry_defect(neutral(phi, deep))

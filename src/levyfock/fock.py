@@ -440,6 +440,16 @@ class FockSpace:
             basis = self._bases[alpha] = block_basis(alpha, self.grid)
         return basis
 
+    def at_depth(self, depth: int) -> FockSpace:
+        """The space on the same grid, measure and table, truncated at ``depth``.
+
+        A basis depends only on its block and the grid, so the two spaces
+        share one dict of bases: a basis built for either serves both.
+        """
+        space = FockSpace(self.grid, self.measure, self.table, depth)
+        space._bases = self._bases
+        return space
+
     @cached_property
     def flat_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Level weight ``n! * weight(n, alpha)`` and representative weight

@@ -87,8 +87,11 @@ class FieldOperator:
     vals: np.ndarray
 
     def __post_init__(self):
-        keep = self.vals != 0.0
-        self.rows, self.cols, self.vals = self.rows[keep], self.cols[keep], self.vals[keep]
+        # Copy only to drop an exact zero.  Counting allocates nothing; a
+        # boolean .all() sets up a 128 KB reduction buffer on first use.
+        if np.count_nonzero(self.vals) < len(self.vals):
+            keep = self.vals != 0.0
+            self.rows, self.cols, self.vals = self.rows[keep], self.cols[keep], self.vals[keep]
 
     def apply(self, v: ExtendedFockVector) -> ExtendedFockVector:
         """Matrix-vector product; each image entry sums in triplet order.
@@ -112,11 +115,12 @@ def _check_phi(phi: TestFunction, space: FockSpace) -> None:
 _ABOVE = np.iinfo(np.intp).max  # above every grid point
 
 # Refuse an operator whose entry bound exceeds this many stored entries.
-# Assembling and exporting one adds 93 (G = 32) to 100 (G = 24) bytes of
-# peak RSS per entry at depth 4, so the cap holds a run near 2 GB; G = 64 at
-# depth 4 (bound 7,930,129) stays inside it.
+# Assembling and exporting one adds 59 (G = 32) to 66 (G = 24) bytes of
+# peak RSS per entry at depth 4, over the RSS of the imported program, so
+# the cap holds a run near 1.3 GB; G = 64 at depth 4 (bound 7,930,129) stays
+# inside it.
 _ENTRY_LIMIT = 20_000_000
-_BYTES_PER_ENTRY = 100
+_BYTES_PER_ENTRY = 70
 
 
 def _check_size(space: FockSpace) -> None:
@@ -310,18 +314,22 @@ def full(phi: TestFunction, space: FockSpace) -> FieldOperator:
     """Sum of the creation, neutral, and annihilation parts.
 
     The parts map level n to n + 1, n and n - 1, so they share no
-    (row, column) pair and their triplets simply concatenate.
+    (row, column) pair and their triplets are written one after the
+    other, in that order, into one exact-size set of arrays: no part is
+    concatenated, and with no exact zero left the operator keeps them
+    without a copy.
     """
     minus = annihilation(phi, space)
-    parts = (creation(minus), neutral(phi, space), minus)
-    return FieldOperator(
-        "full",
-        space,
-        phi,
-        np.concatenate([part.rows for part in parts]),
-        np.concatenate([part.cols for part in parts]),
-        np.concatenate([part.vals for part in parts]),
-    )
+    plus = creation(minus)
+    diag = neutral(phi, space)
+    count = len(plus.vals) + len(diag.vals) + len(minus.vals)
+    rows, cols = np.empty(count, np.intp), np.empty(count, np.intp)
+    vals = np.empty(count)
+    stop = 0
+    for part in (plus, diag, minus):
+        start, stop = stop, stop + len(part.vals)
+        rows[start:stop], cols[start:stop], vals[start:stop] = part.rows, part.cols, part.vals
+    return FieldOperator("full", space, phi, rows, cols, vals)
 
 
 def vacuum_moments(phi: TestFunction, space: FockSpace, k_max: int) -> list[float]:
@@ -414,7 +422,10 @@ def measure_hash(measure: JumpMeasure) -> str:
     return sha256(text.encode("ascii")).hexdigest()[:16]
 
 
-_EXPORT_CHUNK = 2048  # entry lines formatted at a time
+# Entry lines formatted at a time.  On a 12-point, depth-4 export (20,917
+# entries), 512 lowers the peak RSS of 2048 by 0.25 to 0.5 MB; 1024 by at
+# most 0.25 MB; 256 by 0 to 0.1 MB more than 512, which is host noise.
+_EXPORT_CHUNK = 512
 
 
 class OperatorExport:
@@ -451,7 +462,9 @@ class OperatorExport:
             f"{n} {j}" for n in range(space.depth + 1) for j in range(len(space.blocks(n)))
         ]
         self._starts = np.array([space.block_slice(*key).start for key in keys])
-        self._block = np.repeat(np.arange(len(keys)), np.diff(self._starts, append=space.dim))
+        self._block = np.repeat(
+            np.arange(len(keys), dtype=np.int32), np.diff(self._starts, append=space.dim)
+        )
         self._order = np.lexsort(
             (op.rows, op.cols, self._block[op.rows], self._block[op.cols])
         )

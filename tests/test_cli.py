@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import levyfock
-from levyfock import cli, jacobi
+from levyfock import cli, fock, jacobi
 from levyfock.cli import load_config, main, parse_config_text
 
 NU2_CFG = """\
@@ -449,13 +449,64 @@ def test_oversize_export_exits_2_before_assembly(tmp_path, capsys, monkeypatch):
     reason="no builtin sha256 module",
 )
 def test_cli_import_leaves_openssl_unloaded():
+    assert _fresh_python("import levyfock.cli, sys; print('_hashlib' in sys.modules)") == "False"
+
+
+def test_cli_import_leaves_json_unloaded():
+    # only a --json report needs the module
+    assert _fresh_python("import levyfock.cli, sys; print('json' in sys.modules)") == "False"
+
+
+def _fresh_python(program: str, *args: str) -> str:
+    """Stripped stdout of ``program`` run by a new interpreter that imports this levyfock."""
     src = str(Path(levyfock.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import levyfock.cli, sys; print('_hashlib' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", program, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+# Peak RSS an export adds to the imported program, in bytes; reads /proc.
+_EXPORT_PEAK_PROBE = """\
+import sys
+import levyfock.cli
+
+def status(key):
+    with open("/proc/self/status") as handle:
+        return next(int(line.split()[1]) for line in handle if line.startswith(key))
+
+base = status("VmRSS:")
+code = levyfock.cli.main(["export-operator", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, (status("VmHWM:") - base) * 1024)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_export_peak_per_entry_within_refusal_estimate(tmp_path):
+    # G = 24, D = 4, six atoms: the size refusal quotes _BYTES_PER_ENTRY per
+    # bound entry, so the measured cost per stored entry must not exceed it
+    weights = " ".join(f"{0.5 + i / 24}" for i in range(24))
+    values = " ".join(f"{(-1) ** i * (0.6 + i / 24)}" for i in range(24))
+    cfg = (
+        THREE_POINT_CFG.replace("-1.3 -0.4 0.6 1.1 2.2", "-1.3 -0.4 0.6 1.1 2.2 3.1")
+        .replace("0.7 1.2 0.5 0.9 1.1", "0.7 1.2 0.5 0.9 1.1 0.8")
+        .replace("weights 0.7 1.1 1.3", f"weights {weights}")
+        .replace("values 0.9 -0.4 1.2", f"values {values}")
+        .replace("depth 6\ncheck_symmetry 1", "depth 4")
+    )
+    path = write(tmp_path, "wide.cfg", cfg)
+    out = tmp_path / "operator.txt"
+    code, added = _fresh_python(_EXPORT_PEAK_PROBE, path, str(out)).split()
+    assert code == "0"
+    with open(out, encoding="utf-8") as handle:
+        entries = sum(not line.startswith("#") for line in handle)
+    assert entries > 200_000
+    assert int(added) / entries <= jacobi._BYTES_PER_ENTRY
 
 
 def _counting(monkeypatch, owners, name):
@@ -480,6 +531,16 @@ def test_defect_check_assembles_deep_annihilation_once(tmp_path, monkeypatch, ca
     assert main(["verify-moments", "--config", path]) == 0
     capsys.readouterr()
     assert [space.depth for _phi, space in calls] == [2, 4]
+
+
+def test_defect_check_builds_each_basis_once(tmp_path, monkeypatch, capsys):
+    # the deep defect space shares the moment space's bases
+    calls = _counting(monkeypatch, [fock], "block_basis")
+    path = write(tmp_path, "sym.cfg", TWO_POINT_CFG + "check_symmetry 1\n")
+    assert main(["verify-moments", "--config", path]) == 0
+    capsys.readouterr()
+    alphas = [alpha for alpha, _grid in calls]
+    assert alphas and len(alphas) == len(set(alphas))
 
 
 def test_config_holds_each_input_once(tmp_path):

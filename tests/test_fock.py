@@ -350,6 +350,14 @@ class TestFockSpace:
         gc.collect()
         assert basis() is None
 
+    def test_space_at_another_depth_shares_bases(self, nu2):
+        space = FockSpace(GridSpace((0.7, 1.1, 1.3)), nu2, stieltjes(nu2, 2), 2)
+        deep = space.at_depth(4)
+        assert (deep.grid, deep.measure, deep.table) == (space.grid, space.measure, space.table)
+        assert deep.dim == FockSpace(space.grid, nu2, space.table, 4).dim
+        for alpha in (MultiIndex((1, 1)), MultiIndex((2, 1))):
+            assert deep.basis(alpha) is space.basis(alpha)
+
     @pytest.mark.parametrize("grid_size,depth", [(1, 8), (2, 5), (4, 4)])
     def test_closed_form_layout_matches_enumeration(self, gamma40, grid_size, depth):
         grid = GridSpace((1.0,) * grid_size)
