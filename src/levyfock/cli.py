@@ -366,15 +366,16 @@ def cmd_export_operator(cfg: RunConfig, report: Report) -> int:
 
 
 def cmd_oracle_check(cfg: RunConfig, report: Report) -> int:
-    """Block-formula inner products against the brute-force chaos oracle.
+    """Block-formula inner products against the chaos oracle.
 
-    The two agree exactly on a discrete grid through level two for any
-    measure and through level three for symmetric or single-atom
-    measures; in general they diverge beyond that, because the block
-    formula is the continuum expression, whose higher collision patterns
-    acquire grid-weight corrections on atomic grids.  The default level
-    cap is therefore two; raise ``oracle_levels`` only within the
-    validity domain of the measure at hand.
+    The oracle is exact at every level, up to one rounding per weight.
+    The two agree on a discrete grid through level two for any measure
+    and through level three for symmetric or single-atom measures; beyond
+    that they differ, because the block formula is the continuum
+    expression, whose higher collision patterns acquire grid-weight
+    corrections on atomic grids.  The default level cap is therefore two;
+    raise ``oracle_levels`` only within the validity domain of the
+    measure at hand.
     """
     measure, grid = cfg.measure(), cfg.grid()
     space = _operator_space(cfg, cfg.oracle_levels)

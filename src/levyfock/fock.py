@@ -260,18 +260,17 @@ class BlockBasis:
     """Representative-tuple enumeration of one block over one grid.
 
     ``reps`` holds one representative per row (grid point indices), sorted
-    within each same-part-size segment; ``mult`` counts the distinct
-    within-segment rearrangements of each representative and ``weight``
-    is ``mult`` times its product of grid weights, which turns sums over
-    representatives into sums over all tuples.  A representative's
-    position is the mixed-radix number of its segments' lexicographic
-    ranks, most significant first, with digit bases ``radix``.
+    within each same-part-size segment; ``weight`` is the number of
+    distinct within-segment rearrangements of each representative times
+    its product of grid weights, which turns sums over representatives
+    into sums over all tuples.  A representative's position is the
+    mixed-radix number of its segments' lexicographic ranks, most
+    significant first, with digit bases ``radix``.
     """
 
     alpha: MultiIndex
     grid: GridSpace
     reps: np.ndarray
-    mult: np.ndarray
     weight: np.ndarray
     offsets: tuple[tuple[int, int], ...]  # (start, stop) per part size, 1-based list
     radix: tuple[int, ...]  # number of sorted tuples per part size
@@ -317,13 +316,11 @@ def block_basis(alpha: MultiIndex, grid: GridSpace) -> BlockBasis:
     reps = np.empty((dim, alpha.size), dtype=np.intp)
     for (start, stop), segment, rank in zip(offsets, segments, _digits(radix)):
         reps[:, start:stop] = segment[rank]
-    mult = _multiplicity(reps, offsets, grid.size)
     return BlockBasis(
         alpha=alpha,
         grid=grid,
         reps=reps,
-        mult=mult,
-        weight=mult * _weight_product(reps, grid.weights),
+        weight=_multiplicity(reps, offsets, grid.size) * _weight_product(reps, grid.weights),
         offsets=tuple(offsets),
         radix=radix,
     )

@@ -200,13 +200,14 @@ def neutral(phi: TestFunction, space: FockSpace) -> FieldOperator:
     its block, of the diagonal recurrence coefficient of that size times
     the test-function values on the segment.  Each segment sum is one
     ``math.fsum``, taken once per sorted tuple of grid points and gathered
-    by segment rank.
+    by segment rank.  The vacuum has no parts, so its entry is exactly zero
+    and is left out: the triplets start at flat position 1.
     """
     _check_phi(phi, space)
     a = space.table.a
     sums: dict[int, np.ndarray] = {}  # part count -> phi summed over each sorted tuple
-    diag = np.empty(space.dim)
-    for level, alpha in space.block_keys():
+    diag = np.empty(space.dim - 1)
+    for level, alpha in space.block_keys()[1:]:
         basis = space.basis(alpha)
         ranks = basis.segment_ranks()
         total = np.zeros(basis.dim)
@@ -215,8 +216,9 @@ def neutral(phi: TestFunction, space: FockSpace) -> FieldOperator:
                 tuples = itertools.combinations_with_replacement(phi.values, m)
                 sums[m] = np.array([math.fsum(t) for t in tuples])
             total = total + a[k - 1] * sums[m][ranks[k - 1]]
-        diag[space.block_slice(level, alpha)] = total
-    positions = np.arange(space.dim)
+        where = space.block_slice(level, alpha)
+        diag[where.start - 1 : where.stop - 1] = total
+    positions = np.arange(1, space.dim)
     return FieldOperator("neutral", space, phi, positions, positions, diag)
 
 

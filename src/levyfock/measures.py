@@ -129,9 +129,6 @@ class TestFunction:
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("test function values must be finite")
 
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
-
 
 def gauss_laguerre_gamma(order: int) -> JumpMeasure:
     """Gauss rule for the weight ``s * exp(-s)`` on the positive axis.

@@ -6,6 +6,15 @@ jump-size moment (order one vanishes: the noise is centered).  Everything
 here is derived from those cumulants alone -- no block structure, no
 recurrence coefficients -- which is what makes the module usable as an
 oracle for the rest of the system.
+
+Because the coordinates are independent, the chaos part of a monomial
+``x^e`` of degree n is the product of each coordinate's monic orthogonal
+polynomial of degree ``e_i``, and these products are mutually orthogonal
+(Nualart and Schoutens 2000).  The chaos oracle is therefore diagonal on
+monomials; the squared polynomial norms of a coordinate are the pivots of
+the LDL^T factorization of its Hankel moment matrix (Gautschi 2004,
+section 2.1), taken in exact rational arithmetic, so no level loses digits
+to a Gram solve.
 """
 from __future__ import annotations
 
@@ -22,9 +31,9 @@ if TYPE_CHECKING:
 
 __all__ = ["moments_from_cumulants", "CumulantModel", "chaos_inner_product"]
 
-# Monomial bases beyond this size make the oracle's Gram solves pointless.
+# Refuse a level whose monomials of degree up to the level exceed this
+# count: the weight table and its exact arithmetic grow with it.
 _ORACLE_BASIS_LIMIT = 10_000
-_ORACLE_COND_LIMIT = 1e12
 
 
 def moments_from_cumulants(cumulants: Sequence[float]) -> list[float]:
@@ -47,25 +56,46 @@ def moments_from_cumulants(cumulants: Sequence[float]) -> list[float]:
     return moments[1:]
 
 
+def _orthogonal_norms(sigma: float, levy: Sequence[float], degree: int) -> list:
+    """Squared norms ``h(0) .. h(degree)`` of the monic orthogonal polynomials
+    of a noise coordinate, as exact fractions.
+
+    The coordinate has cumulants ``sigma * levy[p - 2]`` for orders
+    ``p = 2 .. 2 * degree``, taken exactly.  Its moments follow from the
+    recursion of :func:`moments_from_cumulants`; the norms are the pivots of
+    the LDL^T factorization of the Hankel matrix ``[m(i + j)]``, by plain
+    Gaussian elimination.
+    """
+    from fractions import Fraction  # exact arithmetic, paid for by the oracle only
+
+    kappa = [Fraction(0)] * 2 + [Fraction(sigma) * Fraction(c) for c in levy]
+    moments = [Fraction(1)]
+    for p in range(1, 2 * degree + 1):
+        moments.append(
+            sum(math.comb(p - 1, j - 1) * kappa[j] * moments[p - j] for j in range(1, p + 1))
+        )
+    hankel = [moments[i : i + degree + 1] for i in range(degree + 1)]
+    for k, row in enumerate(hankel):
+        for lower in hankel[k + 1 :]:
+            factor = lower[k] / row[k]
+            for j in range(k + 1, degree + 1):
+                lower[j] -= factor * row[j]
+    return [row[k] for k, row in enumerate(hankel)]
+
+
 class CumulantModel:
     """Cumulant description of the discretized noise field.
 
     Grid coordinates are independent; coordinate ``i`` has cumulants
     ``kappa[p] = sigma_i * levy_moment(p)`` for ``p >= 2`` and zero mean.
-    Joint moments, the oracle's per-level Gram matrices and the moments of
-    (lower monomial, pairing monomial) pairs that its Gram right-hand sides
-    read are memoized per model instance (the oracle re-queries heavily
-    overlapping exponent vectors); each cache is only ever grown, one
-    atomic assignment per entry.
+    The chaos oracle's weights are memoized per level on the model
+    instance; the memo is only ever grown, one atomic assignment per level.
     """
 
     def __init__(self, measure: JumpMeasure, grid: GridSpace):
         self.measure = measure
         self.grid = grid
-        self._point_moments: dict[tuple[int, int], list[float]] = {}
-        self._joint: dict[tuple[int, ...], float] = {}
-        self._pair: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
-        self._lower: dict[int, tuple[list[tuple[int, ...]], np.ndarray, float]] = {}
+        self._weights: dict[int, np.ndarray] = {}
 
     def cumulant(self, phi: TestFunction, p: int) -> float:
         """Cumulant of order ``p`` of the pairing of the noise with ``phi``."""
@@ -79,61 +109,25 @@ class CumulantModel:
             w * v**p for w, v in zip(self.grid.weights, phi.values)
         )
 
-    def point_moments(self, i: int, order: int) -> list[float]:
-        """Raw moments ``1 .. order`` of the noise coordinate at point ``i``."""
-        key = (i, order)
-        if key not in self._point_moments:
-            sigma = self.grid.weights[i]
-            kappa = [0.0] + [
-                sigma * self.measure.levy_moment(p) for p in range(2, order + 1)
-            ]
-            self._point_moments[key] = moments_from_cumulants(kappa) if order else []
-        return self._point_moments[key]
-
-    def joint_moment(self, exponents: Sequence[int]) -> float:
-        """Expectation of the product of coordinate powers.
-
-        Coordinates are independent, so this is the product of the
-        per-point raw moments.
-        """
-        exps = tuple(int(e) for e in exponents)
-        if len(exps) != self.grid.size:
-            raise ValueError("need one exponent per grid point")
-        if any(e < 0 for e in exps):
-            raise ValueError("exponents must be nonnegative")
-        if exps not in self._joint:
-            value = 1.0
-            for i, e in enumerate(exps):
-                if e:
-                    value *= self.point_moments(i, e)[e - 1]
-            self._joint[exps] = value
-        return self._joint[exps]
-
-    def _pair_moment(self, ea: tuple[int, ...], eb: tuple[int, ...]) -> float:
-        """Expectation of the product of the monomials with exponents ``ea`` and ``eb``."""
-        key = (ea, eb)
-        value = self._pair.get(key)
-        if value is None:
-            value = self.joint_moment(tuple(x + y for x, y in zip(ea, eb)))
-            self._pair[key] = value
-        return value
-
-    def _lower_gram(self, level: int) -> tuple[list[tuple[int, ...]], np.ndarray, float]:
-        """Monomials of degree below ``level``, their Gram matrix and its condition number.
-
-        Built once per level; the Gram entries are read straight from
-        :meth:`joint_moment`, since no other query reuses those pairs.
-        """
-        if level not in self._lower:
-            lower = _monomials_up_to(self.grid.size, level - 1)
-            gram = np.array(
+    def _chaos_weights(self, level: int) -> np.ndarray:
+        """Weight ``n! / prod(e_i!)**2 * prod h_i(e_i)`` of every sorted
+        ``level``-tuple, with ``e`` its exponent vector and ``h_i`` the
+        squared orthogonal-polynomial norms of coordinate ``i``; each weight
+        is formed exactly and rounded once."""
+        if level not in self._weights:
+            levy = [self.measure.levy_moment(p) for p in range(2, 2 * level + 1)]
+            scaled = []  # h_i(k) / k!**2, one list per coordinate i
+            for sigma in self.grid.weights:
+                norms = _orthogonal_norms(sigma, levy, level)
+                scaled.append([h / math.factorial(k) ** 2 for k, h in enumerate(norms)])
+            top = math.factorial(level)
+            self._weights[level] = np.array(
                 [
-                    [self.joint_moment(tuple(x + y for x, y in zip(ea, eb))) for eb in lower]
-                    for ea in lower
+                    float(top * math.prod(scaled[i][e] for i, e in enumerate(exps)))
+                    for exps in _exponents(self.grid.size, level)
                 ]
             )
-            self._lower[level] = (lower, gram, float(np.linalg.cond(gram)))
-        return self._lower[level]
+        return self._weights[level]
 
 
 def _exponents(size: int, degree: int) -> Iterator[tuple[int, ...]]:
@@ -146,69 +140,26 @@ def _exponents(size: int, degree: int) -> Iterator[tuple[int, ...]]:
         yield tuple(exps)
 
 
-def _monomials_up_to(size: int, degree: int) -> list[tuple[int, ...]]:
-    return [exps for d in range(degree + 1) for exps in _exponents(size, d)]
-
-
-def _pairing_coefficients(f: SymmetricTensor) -> dict[tuple[int, ...], float]:
-    """Monomial coefficients of the degree-n pairing of the noise with ``f``.
-
-    Summing the tensor over all coordinate tuples groups into one monomial
-    per sorted tuple (the order of ``f.values``), with the arrangement
-    count ``n! / prod(e!)`` over its exponents as combinatorial factor.
-    Monomials whose coefficient is zero are left out.
-    """
-    n = f.level
-    return {
-        exps: math.factorial(n) // math.prod(map(math.factorial, exps)) * value
-        for exps, value in zip(_exponents(f.grid.size, n), f.values.tolist())
-        if value != 0.0
-    }
-
-
 def chaos_inner_product(
     f: SymmetricTensor, g: SymmetricTensor, model: CumulantModel, level: int
 ) -> float:
     """Brute-force level-``level`` chaos inner product of two symmetric tensors.
 
-    Expands each pairing as a polynomial in the noise coordinates,
-    projects onto the orthogonal complement of all polynomials of lower
-    degree via explicit Gram solves against joint moments, takes the
-    expectation of the product, and divides by the factorial of the
-    level.  Nothing here touches the block-structured formulas, so the
-    result is an independent check of them.
+    The pairing of the noise with ``f`` is a polynomial with one monomial
+    ``x^e`` per sorted tuple (the order of ``f.values``), times the
+    arrangement count ``n! / prod(e_i!)``.  Its chaos part replaces each
+    monomial by the product of the coordinates' monic orthogonal
+    polynomials of degrees ``e_i``; these products are orthogonal, so the
+    expectation of the product of the two chaos parts, divided by the
+    factorial of the level, is ``sum_e w_n(e) f_e g_e`` with
+    ``w_n(e) = n! / prod(e_i!)**2 * prod h_i(e_i)``.  Nothing here touches
+    the block-structured formulas, so the result is an independent check
+    of them.
     """
     if f.level != level or g.level != level:
         raise ValueError("tensors must both live at the requested level")
     if f.grid != model.grid or g.grid != model.grid:
         raise ValueError("grid mismatch")
-    size = model.grid.size
-    if math.comb(size + level, level) > _ORACLE_BASIS_LIMIT:
+    if math.comb(model.grid.size + level, level) > _ORACLE_BASIS_LIMIT:
         raise ValueError("oracle scale exceeded: monomial basis too large")
-
-    coeff_f = _pairing_coefficients(f)
-    coeff_g = _pairing_coefficients(g)
-    expectation = math.fsum(
-        va * vb * model.joint_moment(tuple(x + y for x, y in zip(ea, eb)))
-        for ea, va in coeff_f.items()
-        for eb, vb in coeff_g.items()
-    )
-    if level > 0:
-        lower, gram, cond = model._lower_gram(level)
-        if not np.isfinite(cond) or cond > _ORACLE_COND_LIMIT:
-            raise ValueError(
-                f"chaos oracle gram matrix ill-conditioned (cond ~ {cond:.3e}); "
-                "refusing to project"
-            )
-
-        def lower_moments(coeffs: dict) -> np.ndarray:
-            return np.array(
-                [
-                    math.fsum(v * model._pair_moment(ea, e) for e, v in coeffs.items())
-                    for ea in lower
-                ]
-            )
-
-        projection = np.linalg.solve(gram, lower_moments(coeff_f))
-        expectation -= float(np.dot(projection, lower_moments(coeff_g)))
-    return expectation / math.factorial(level)
+    return math.fsum(model._chaos_weights(level) * f.values * g.values)

@@ -22,6 +22,7 @@ from levyfock import (
     SymmetricTensor,
     TestFunction,
     gauss_laguerre_gamma,
+    moments_from_cumulants,
     stieltjes,
 )
 
@@ -142,7 +143,8 @@ def sym_tensor_product(phi: TestFunction, f: SymmetricTensor) -> SymmetricTensor
     straight from the definition: the oracle for the creation part."""
     n = f.level
     values = [
-        math.fsum(phi[rep[j]] * sym_at(f, rep[:j] + rep[j + 1 :]) for j in range(n + 1)) / (n + 1)
+        math.fsum(phi.values[rep[j]] * sym_at(f, rep[:j] + rep[j + 1 :]) for j in range(n + 1))
+        / (n + 1)
         for rep in sorted_tuples(f.grid.size, n + 1)
     ]
     return SymmetricTensor(f.grid, n + 1, np.array(values))
@@ -165,7 +167,7 @@ def meixner_neutral(phi: TestFunction, f: SymmetricTensor, lam: float) -> Symmet
     """Closed-form neutral part of a Meixner-class table on a symmetric
     tensor: ``lam`` times the sum of phi over the coordinates."""
     values = [
-        lam * math.fsum(phi[p] for p in rep) * sym_at(f, rep)
+        lam * math.fsum(phi.values[p] for p in rep) * sym_at(f, rep)
         for rep in sorted_tuples(f.grid.size, f.level)
     ]
     return SymmetricTensor(f.grid, f.level, np.array(values))
@@ -183,9 +185,9 @@ def meixner_annihilation(
     values = []
     for rep in sorted_tuples(grid.size, n - 1):
         contraction = n * mass * math.fsum(
-            grid.weights[p] * phi[p] * sym_at(f, (p,) + rep) for p in range(grid.size)
+            grid.weights[p] * phi.values[p] * sym_at(f, (p,) + rep) for p in range(grid.size)
         )
-        diagonal = kappa * n * math.fsum(phi[x] * sym_at(f, (x,) + rep) for x in rep)
+        diagonal = kappa * n * math.fsum(phi.values[x] * sym_at(f, (x,) + rep) for x in rep)
         values.append(contraction + diagonal)
     return SymmetricTensor(grid, n - 1, np.array(values))
 
@@ -206,6 +208,23 @@ def pairing_coefficients(f: SymmetricTensor) -> dict[tuple[int, ...], float]:
     }
 
 
+@functools.cache
+def _point_moments(measure: JumpMeasure, sigma: float, order: int) -> list[float]:
+    """Raw moments ``1 .. order`` of a noise coordinate of grid weight ``sigma``."""
+    kappa = [0.0] + [sigma * measure.levy_moment(p) for p in range(2, order + 1)]
+    return moments_from_cumulants(kappa)
+
+
+def joint_moment(model: CumulantModel, exponents) -> float:
+    """Expectation of the product of coordinate powers: the coordinates are
+    independent, so the product of the per-point raw moments."""
+    value = 1.0
+    for sigma, e in zip(model.grid.weights, exponents):
+        if e:
+            value *= _point_moments(model.measure, sigma, e)[e - 1]
+    return value
+
+
 def wick_coefficients(f: SymmetricTensor, model: CumulantModel) -> dict:
     """Monomial coefficients of the Wick projection of the level-n pairing.
 
@@ -219,14 +238,14 @@ def wick_coefficients(f: SymmetricTensor, model: CumulantModel) -> dict:
         return dict(coeffs)
     gram = np.array(
         [
-            [model.joint_moment(tuple(x + y for x, y in zip(a, b))) for b in lower]
+            [joint_moment(model, tuple(x + y for x, y in zip(a, b))) for b in lower]
             for a in lower
         ]
     )
     rhs = np.array(
         [
             math.fsum(
-                v * model.joint_moment(tuple(x + y for x, y in zip(a, e)))
+                v * joint_moment(model, tuple(x + y for x, y in zip(a, e)))
                 for e, v in coeffs.items()
             )
             for a in lower
@@ -249,4 +268,4 @@ def poly_product(ca: dict, cb: dict) -> dict:
 
 
 def poly_expectation(c: dict, model: CumulantModel) -> float:
-    return math.fsum(v * model.joint_moment(e) for e, v in c.items())
+    return math.fsum(v * joint_moment(model, e) for e, v in c.items())

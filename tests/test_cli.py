@@ -303,13 +303,12 @@ check_symmetry 1
 """
 
 # sha256 of each report under --json, recorded once from the dense-block
-# implementation (the multi-point oracle report from the per-pair Gram
-# implementation; the one-point gamma moments and the two-point moments from
+# implementation (the one-point gamma moments and the two-point moments from
 # the half-depth moment pairing; the three-point export and moments from the
-# per-representative assembler; the three-point level-3 oracle report, the
-# only one whose level pairing sums n! > 2 block weights, from the per-block
-# level pairing over the full-depth space); a storage or summation-order
-# change must reproduce them.
+# per-representative assembler; the multi-point and the three-point level-3
+# oracle reports, whose error lines carry the oracle's round-off, from the
+# diagonal orthogonal-polynomial oracle); a storage or summation-order change
+# must reproduce them.
 PINNED_REPORTS = [
     (
         "verify-moments",
@@ -349,7 +348,7 @@ PINNED_REPORTS = [
     (
         "oracle-check",
         MULTI_POINT_CFG,
-        "0f3948f0538648cc0dd3f41ce86fba38e7a1065f99342579728180792a61f8e1",
+        "1ee8b0d3ea72bb4348be09e6c631503ca8658eb4f22f3ce4fbe48ca9fdd6043d",
     ),
     (
         "verify-moments",
@@ -369,7 +368,7 @@ PINNED_REPORTS = [
     (
         "oracle-check",
         THREE_POINT_CFG + "oracle_levels 3\ntolerance 1\n",
-        "afc0677c3f0e5af1a7712bd2e755199d3a4af63cdd526fbc5265750e53ff3f0f",
+        "889aa69379f6aa9842d56057a62d3ccfa87cd350de6204a19561e023f3981dbd",
     ),
 ]
 
@@ -455,6 +454,12 @@ def test_cli_import_leaves_openssl_unloaded():
 def test_cli_import_leaves_json_unloaded():
     # only a --json report needs the module
     assert _fresh_python("import levyfock.cli, sys; print('json' in sys.modules)") == "False"
+
+
+def test_cli_import_leaves_fractions_unloaded():
+    # only the chaos oracle pays for exact arithmetic (fractions loads decimal)
+    probe = "import levyfock.cli, sys; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    assert _fresh_python(probe) == "[]"
 
 
 def _fresh_python(program: str, *args: str) -> str:

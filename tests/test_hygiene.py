@@ -1,6 +1,6 @@
 """Source hygiene, read with ``ast``: no unused imports, the shared test
 oracles import only the package's public names, and the chaos oracle loads
-no block code at run time."""
+no block code at run time and reaches no ``numpy.linalg``."""
 from __future__ import annotations
 
 import ast
@@ -89,3 +89,22 @@ def test_oracle_imports_no_block_code():
     assert block_code(runtime_imports(sample)) == [".jacobi", ".fock.F"]
     moments = ROOT / "src" / "levyfock" / "moments.py"
     assert block_code(runtime_imports(ast.parse(moments.read_text(encoding="utf-8")))) == []
+
+
+def linalg_uses(tree: ast.Module) -> list[str]:
+    """Attribute reads of a ``linalg`` module, then imports of one."""
+    reads = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "linalg"
+    ]
+    return reads + [name for name in runtime_imports(tree) if "linalg" in name.split(".")]
+
+
+def test_oracle_uses_no_linalg():
+    # the diagonal oracle needs no factorization, so oracle-check never pages
+    # in LAPACK
+    sample = ast.parse("import numpy as np\nfrom numpy import linalg\nx = np.linalg.solve(a, b)\n")
+    assert linalg_uses(sample) == ["np.linalg", "numpy.linalg"]
+    moments = ROOT / "src" / "levyfock" / "moments.py"
+    assert linalg_uses(ast.parse(moments.read_text(encoding="utf-8"))) == []

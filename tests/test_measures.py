@@ -125,7 +125,7 @@ class TestGridAndTestFunction:
 
     def test_constant(self, g1):
         phi = constant(g1, 3.0)
-        assert phi[0] == 3.0
+        assert phi.values[0] == 3.0
 
 
 class TestNonFiniteInputs:

@@ -119,7 +119,7 @@ class TestClosedForms:
         f = SymmetricTensor(grid, 1, np.array([2.0, -1.0]))
         out = meixner_neutral(phi, f, 1.5)
         for x in range(2):
-            assert sym_at(out, (x,)) == pytest.approx(1.5 * phi[x] * sym_at(f, (x,)))
+            assert sym_at(out, (x,)) == pytest.approx(1.5 * phi.values[x] * sym_at(f, (x,)))
 
     def test_neutral_level_two_single_point(self, g1):
         phi = constant(g1)
@@ -133,7 +133,7 @@ class TestClosedForms:
         f = SymmetricTensor(grid, 1, np.array([2.0, -1.0]))
         out = meixner_annihilation(phi, f, 1.0, mass=0.7)
         expected = 0.7 * math.fsum(
-            grid.weights[i] * phi[i] * sym_at(f, (i,)) for i in range(2)
+            grid.weights[i] * phi.values[i] * sym_at(f, (i,)) for i in range(2)
         )
         assert out.values == pytest.approx([expected])
 

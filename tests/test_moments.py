@@ -22,6 +22,7 @@ from levyfock import (
 
 from conftest import (
     constant,
+    joint_moment,
     pairing_coefficients,
     poly_expectation,
     poly_product,
@@ -114,17 +115,17 @@ class TestCumulantModel:
 
     def test_joint_moment_examples(self, nu2, g1):
         model = CumulantModel(nu2, g1)
-        assert model.joint_moment((0,)) == 1.0
-        assert model.joint_moment((2,)) == pytest.approx(2.0)
-        assert model.joint_moment((4,)) == pytest.approx(14.0)
+        assert joint_moment(model, (0,)) == 1.0
+        assert joint_moment(model, (2,)) == pytest.approx(2.0)
+        assert joint_moment(model, (4,)) == pytest.approx(14.0)
 
     def test_joint_moment_factorizes(self, nu2):
         grid = GridSpace((2.0, 0.5))
         model = CumulantModel(nu2, grid)
         single_a = CumulantModel(nu2, GridSpace((2.0,)))
         single_b = CumulantModel(nu2, GridSpace((0.5,)))
-        assert model.joint_moment((2, 4)) == pytest.approx(
-            single_a.joint_moment((2,)) * single_b.joint_moment((4,))
+        assert joint_moment(model, (2, 4)) == pytest.approx(
+            joint_moment(single_a, (2,)) * joint_moment(single_b, (4,))
         )
 
 
@@ -227,27 +228,28 @@ class TestChaosOracle:
             chaos_inner_product(f, f, model, 3)
 
     def test_ill_conditioned_gram_aborts(self, nu2):
-        # a nearly silent noise coordinate makes the monomial Gram matrix
-        # numerically singular; the oracle must refuse rather than return
-        # garbage
-        grid = GridSpace((1e-30,))
-        model = CumulantModel(nu2, grid)
-        f = symmetric_from(grid, 2, lambda r: 1.0)
-        with pytest.raises(ValueError, match="ill-conditioned"):
-            chaos_inner_product(f, f, model, 2)
-        # the level's Gram matrix is kept on the model; a second call must
-        # still refuse
-        with pytest.raises(ValueError, match="ill-conditioned"):
-            chaos_inner_product(f, f, model, 2)
+        # a nearly silent noise coordinate makes a monomial Gram matrix
+        # numerically singular; the diagonal oracle has no Gram matrix and
+        # answers exactly: the Wick square of x has squared norm
+        # m4 - m2**2 - m3**2 / m2 = sigma + 2 sigma**2, over two factorial
+        sigma = 1e-30
+        model = CumulantModel(nu2, GridSpace((sigma,)))
+        f = symmetric_from(model.grid, 2, lambda r: 1.0)
+        for _ in range(2):  # the second call reads the level's memoized weights
+            assert chaos_inner_product(f, f, model, 2) == pytest.approx(
+                (sigma + 2 * sigma**2) / 2, rel=1e-15
+            )
 
-    def test_raw_product_leaves_pair_memo_empty(self, nu2):
-        # the pair memo serves the Gram right-hand sides; raw (f, g) pairs are
-        # never read twice, so storing them only costs memory
-        grid = GridSpace((0.7, 1.3))
-        model = CumulantModel(nu2, grid)
-        f = SymmetricTensor.basis_element(grid, 0, 0)
-        assert chaos_inner_product(f, f, model, 0) == 1.0
-        assert model._pair == {}
+    def test_charlier_norms_exact_at_every_level(self, nup):
+        # one unit atom: the coordinate is a centered Poisson variable of mean
+        # sigma, whose monic (Charlier) polynomials have squared norms
+        # k! sigma**k, so the basis element's chaos norm is sigma**level
+        sigma = 0.7
+        model = CumulantModel(nup, GridSpace((sigma,)))
+        for level in range(17):
+            e = SymmetricTensor.basis_element(model.grid, level, 0)
+            got = chaos_inner_product(e, e, model, level)
+            assert got == pytest.approx(sigma**level, rel=2.2e-16), level
 
     def test_models_on_one_grid_keep_their_own_moments(self, nu2, nup):
         # two measures on the same grid, queried alternately: each model must
