@@ -375,11 +375,13 @@ def cmd_oracle_check(cfg: RunConfig, report: Report) -> int:
     expression, whose higher collision patterns acquire grid-weight
     corrections on atomic grids.  The default level cap is therefore two;
     raise ``oracle_levels`` only within the validity domain of the
-    measure at hand.
+    measure at hand.  A top level the exact oracle cannot finish is
+    refused before anything is built (:meth:`CumulantModel.check_level`).
     """
     measure, grid = cfg.measure(), cfg.grid()
-    space = _operator_space(cfg, cfg.oracle_levels)
     model = CumulantModel(measure, grid)
+    model.check_level(cfg.oracle_levels)
+    space = _operator_space(cfg, cfg.oracle_levels)
     report.add("command", "oracle-check")
     report.add("measure-hash", measure_hash(measure))
     report.add("levels", cfg.oracle_levels)

@@ -464,12 +464,14 @@ class FockSpace:
         return self.dim if n > self.depth else self.block_slice(n, self.blocks(n)[0]).start
 
     def entry_bound(self) -> int:
-        """Upper bound on the stored entries of the full field operator.
+        """Upper bound on the entries of the full field operator, as exported.
 
         Closed form, with no enumeration: an annihilation row in block
         beta below the top level holds at most G grid contractions plus
-        ``size(beta)`` promotions, creation stores as many entries as
-        annihilation, and the neutral part is the diagonal.
+        ``size(beta)`` promotions, creation has as many entries as
+        annihilation, and the neutral part is the diagonal.  The operator
+        stores only the annihilation entries and the diagonal, so it holds
+        at most ``(bound + dim) / 2`` of them.
         """
         rows = sum(
             (span.stop - span.start) * (self.grid.size + alpha.size)

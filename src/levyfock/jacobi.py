@@ -1,10 +1,14 @@
 """Creation, neutral, and annihilation parts of the field operator.
 
 The field operator represents multiplication by the pairing with a test
-function, carried over to the truncated extended Fock space.  Each part
-is stored as coalesced ``(row, column, value)`` triplets over the
-space's flat layout, with exact zeros dropped.  For every target block
-the contributing source blocks follow from single-part shifts:
+function, carried over to the truncated extended Fock space.  Only two
+arrays describe it: the annihilation part, as coalesced ``(row, column,
+value)`` triplets over the space's flat layout with exact zeros dropped,
+and the neutral part's diagonal.  The creation part is the pairing
+adjoint of the annihilation part, so its entries are derived from the
+annihilation triplets wherever they are used, never stored.  For every
+target block the contributing source blocks follow from single-part
+shifts:
 
 * creation reads, for each part size k of the target, the source block
   with that part demoted by one (dropped entirely for singletons), and
@@ -69,14 +73,27 @@ __all__ = [
 ]
 
 
+# The kinds whose action includes the creation part and the annihilation part.
+_RAISING = ("creation", "full")
+_LOWERING = ("annihilation", "full")
+
+
 @dataclass
 class FieldOperator:
-    """Sparse operator on a truncated extended Fock space.
+    """The field operator on a truncated extended Fock space, or one of its parts.
 
-    Entry ``vals[i]`` maps flat position ``cols[i]`` of the source to flat
-    position ``rows[i]`` of the image; no (row, column) pair repeats and
-    no value is zero.  Creation entries connect level n to n + 1 only,
-    neutral n to n, annihilation n to n - 1.
+    ``rows``, ``cols`` and ``vals`` hold the annihilation part: entry
+    ``vals[i]`` maps flat position ``cols[i]`` (level n) to flat position
+    ``rows[i]`` (level n - 1); no (row, column) pair repeats and no value
+    is zero.  ``diag`` holds the neutral part at flat positions
+    ``1 .. dim - 1`` (the vacuum's entry is exactly zero), exact zeros
+    included, or is None.  The creation part is never stored: it maps
+    ``rows[i]`` to ``cols[i]`` with the value :func:`creation` documents,
+    derived from ``vals[i]`` where it is used.
+
+    ``kind`` names the parts that act: ``"annihilation"`` and
+    ``"creation"`` read the triplets, ``"neutral"`` reads ``diag`` alone
+    (its triplets are empty), ``"full"`` reads both.
     """
 
     kind: str
@@ -85,6 +102,7 @@ class FieldOperator:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+    diag: np.ndarray | None = None
 
     def __post_init__(self):
         # Copy only to drop an exact zero.  Counting allocates nothing; a
@@ -94,17 +112,26 @@ class FieldOperator:
             self.rows, self.cols, self.vals = self.rows[keep], self.cols[keep], self.vals[keep]
 
     def apply(self, v: ExtendedFockVector) -> ExtendedFockVector:
-        """Matrix-vector product; each image entry sums in triplet order.
+        """Matrix-vector product.
 
-        Creation images out of the top level are dropped: the truncation
-        has no room for them.
+        Each image entry sums, from 0.0 and one term at a time, its
+        creation terms in triplet order, then its neutral term (none for an
+        exact-zero diagonal entry), then its annihilation terms in triplet
+        order.  Creation images out of the top level are dropped: the
+        truncation has no room for them.
         """
         if v.space is not self.space and not self.space.compatible(v.space):
             raise ValueError("dimension mismatch: vector space differs from operator space")
-        terms = self.vals * v.values[self.cols]
-        return ExtendedFockVector(
-            self.space, np.bincount(self.rows, terms, minlength=self.space.dim)
-        )
+        x, rows, cols = v.values, self.rows, self.cols
+        out = np.zeros(self.space.dim)
+        if self.kind in _RAISING:
+            np.add.at(out, cols, _raised(self.space, rows, cols, self.vals) * x[rows])
+        if self.diag is not None:
+            tail = out[1:]
+            np.add(tail, self.diag * x[1:], out=tail, where=self.diag != 0.0)
+        if self.kind in _LOWERING:
+            np.add.at(out, rows, self.vals * x[cols])
+        return ExtendedFockVector(self.space, out)
 
 
 def _check_phi(phi: TestFunction, space: FockSpace) -> None:
@@ -114,20 +141,22 @@ def _check_phi(phi: TestFunction, space: FockSpace) -> None:
 
 _ABOVE = np.iinfo(np.intp).max  # above every grid point
 
-# Refuse an operator whose entry bound exceeds this many stored entries.
-# Assembling and exporting one adds 59 (G = 32) to 66 (G = 24) bytes of
-# peak RSS per entry at depth 4, over the RSS of the imported program, so
-# the cap holds a run near 1.3 GB; G = 64 at depth 4 (bound 7,930,129) stays
-# inside it.
+# Refuse an operator whose entry bound exceeds this many entries.  The
+# bound counts the full operator's entries, as exported; about half of them
+# are stored (see FieldOperator).  Assembling and exporting one adds 43 bytes
+# of peak RSS per exported entry at G = 24 and at G = 32, depth 4, over the
+# RSS of the imported program, most of it annihilation's assembly
+# temporaries, so the cap holds a run near 0.9 GB; G = 64 at depth 4 (bound
+# 7,930,129) stays inside it.
 _ENTRY_LIMIT = 20_000_000
-_BYTES_PER_ENTRY = 70
+_BYTES_PER_ENTRY = 48
 
 
 def _check_size(space: FockSpace) -> None:
     bound = space.entry_bound()
     if bound > _ENTRY_LIMIT:
         raise ValueError(
-            f"operator too large: up to {bound:,} stored entries (about "
+            f"operator too large: up to {bound:,} operator entries (about "
             f"{bound * _BYTES_PER_ENTRY / 2**30:.1f} GB) exceed the limit of "
             f"{_ENTRY_LIMIT:,}; lower the depth or the grid size"
         )
@@ -182,15 +211,21 @@ def creation(minus: FieldOperator) -> FieldOperator:
     ``(c * (m * w_d)) / w_s`` from d to s, with ``c = (d! W_d) / (s! W_s)``
     the level-times-block weight ratio and ``w`` the representative
     weights.  The test function and the space are those of ``minus``, the
-    annihilation part this transposes.
+    annihilation part this transposes.  The result keeps ``minus``'s
+    triplet arrays, without a copy, and only reads them the other way
+    round: its entry values are formed where they are used.
     """
     if minus.kind != "annihilation":
         raise ValueError(f"minus must be an annihilation part, not a {minus.kind} part")
-    space = minus.space
+    return FieldOperator("creation", minus.space, minus.phi, minus.rows, minus.cols, minus.vals)
+
+
+def _raised(space: FockSpace, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Creation values of the annihilation entries ``vals`` from ``cols`` to
+    ``rows``: the expression :func:`creation` documents, elementwise, so a
+    slice of the entries gives the same bits as the whole."""
     level, rep = space.flat_weights
-    dst, src = minus.rows, minus.cols
-    vals = level[dst] / level[src] * (minus.vals * rep[dst]) / rep[src]
-    return FieldOperator("creation", space, minus.phi, src, dst, vals)
+    return level[rows] / level[cols] * (vals * rep[rows]) / rep[cols]
 
 
 def neutral(phi: TestFunction, space: FockSpace) -> FieldOperator:
@@ -201,7 +236,9 @@ def neutral(phi: TestFunction, space: FockSpace) -> FieldOperator:
     the test-function values on the segment.  Each segment sum is one
     ``math.fsum``, taken once per sorted tuple of grid points and gathered
     by segment rank.  The vacuum has no parts, so its entry is exactly zero
-    and is left out: the triplets start at flat position 1.
+    and is left out: the diagonal starts at flat position 1.  Only the
+    diagonal is stored; an exact zero in it (a segment whose test-function
+    values cancel) stays, and acts as no entry.
     """
     _check_phi(phi, space)
     a = space.table.a
@@ -218,8 +255,8 @@ def neutral(phi: TestFunction, space: FockSpace) -> FieldOperator:
             total = total + a[k - 1] * sums[m][ranks[k - 1]]
         where = space.block_slice(level, alpha)
         diag[where.start - 1 : where.stop - 1] = total
-    positions = np.arange(1, space.dim)
-    return FieldOperator("neutral", space, phi, positions, positions, diag)
+    empty = np.empty(0, np.intp)
+    return FieldOperator("neutral", space, phi, empty, empty, np.empty(0), diag)
 
 
 def annihilation(phi: TestFunction, space: FockSpace) -> FieldOperator:
@@ -315,23 +352,13 @@ def annihilation(phi: TestFunction, space: FockSpace) -> FieldOperator:
 def full(phi: TestFunction, space: FockSpace) -> FieldOperator:
     """Sum of the creation, neutral, and annihilation parts.
 
-    The parts map level n to n + 1, n and n - 1, so they share no
-    (row, column) pair and their triplets are written one after the
-    other, in that order, into one exact-size set of arrays: no part is
-    concatenated, and with no exact zero left the operator keeps them
-    without a copy.
+    Stores the annihilation part's arrays, without a copy, and the
+    neutral part's diagonal: the creation part is their pairing adjoint,
+    derived where it is used (see :class:`FieldOperator`).
     """
     minus = annihilation(phi, space)
-    plus = creation(minus)
-    diag = neutral(phi, space)
-    count = len(plus.vals) + len(diag.vals) + len(minus.vals)
-    rows, cols = np.empty(count, np.intp), np.empty(count, np.intp)
-    vals = np.empty(count)
-    stop = 0
-    for part in (plus, diag, minus):
-        start, stop = stop, stop + len(part.vals)
-        rows[start:stop], cols[start:stop], vals[start:stop] = part.rows, part.cols, part.vals
-    return FieldOperator("full", space, phi, rows, cols, vals)
+    diag = neutral(phi, space).diag
+    return FieldOperator("full", space, phi, minus.rows, minus.cols, minus.vals, diag)
 
 
 def vacuum_moments(phi: TestFunction, space: FockSpace, k_max: int) -> list[float]:
@@ -378,6 +405,23 @@ def _scaled_gap(keys_a, vals_a, keys_b, vals_b) -> float:
     return float(np.max(np.abs(gap), initial=0.0)) / scale
 
 
+def _triplets(op: FieldOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, vals)`` of the entries of the parts ``op`` applies:
+    creation, neutral, annihilation, each in triplet order; a one-part
+    operator's arrays are not copied."""
+    parts = []
+    if op.kind in _RAISING:
+        parts.append((op.cols, op.rows, _raised(op.space, op.rows, op.cols, op.vals)))
+    if op.diag is not None:
+        positions = np.arange(1, op.space.dim)
+        parts.append((positions, positions, op.diag))
+    if op.kind in _LOWERING:
+        parts.append((op.rows, op.cols, op.vals))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
 def symmetry_defect(op: FieldOperator) -> float:
     """Largest scaled asymmetry of the operator's pairing matrix.
 
@@ -387,10 +431,11 @@ def symmetry_defect(op: FieldOperator) -> float:
     creation image is dropped, so a symmetric operator must give a
     symmetric matrix up to round-off.
     """
+    op_rows, op_cols, op_vals = _triplets(op)
     low = op.space.level_start(op.space.depth)
-    inside = (op.rows < low) & (op.cols < low)
-    rows, cols = op.rows[inside], op.cols[inside]
-    pairing = np.multiply(*op.space.flat_weights)[rows] * op.vals[inside]
+    inside = (op_rows < low) & (op_cols < low)
+    rows, cols = op_rows[inside], op_cols[inside]
+    pairing = np.multiply(*op.space.flat_weights)[rows] * op_vals[inside]
     return _scaled_gap(cols * low + rows, pairing, rows * low + cols, pairing)
 
 
@@ -404,15 +449,17 @@ def adjoint_defect(plus: FieldOperator, minus: FieldOperator) -> float:
     space = plus.space
     if minus.space is not space and not space.compatible(minus.space):
         raise ValueError("operators live in different spaces")
+    plus_rows, plus_cols, plus_vals = _triplets(plus)
+    minus_rows, minus_cols, minus_vals = _triplets(minus)
     low, dim = space.level_start(space.depth), space.dim
     weights = np.multiply(*space.flat_weights)
-    up = plus.cols < low
-    down = minus.rows < low
+    up = plus_cols < low
+    down = minus_rows < low
     return _scaled_gap(
-        plus.cols[up] * dim + plus.rows[up],
-        weights[plus.rows[up]] * plus.vals[up],
-        minus.rows[down] * dim + minus.cols[down],
-        weights[minus.rows[down]] * minus.vals[down],
+        plus_cols[up] * dim + plus_rows[up],
+        weights[plus_rows[up]] * plus_vals[up],
+        minus_rows[down] * dim + minus_cols[down],
+        weights[minus_rows[down]] * minus_vals[down],
     )
 
 
@@ -430,6 +477,12 @@ def measure_hash(measure: JumpMeasure) -> str:
 _EXPORT_CHUNK = 512
 
 
+def _pieces(start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges of at most ``_EXPORT_CHUNK`` from ``start`` to ``stop``."""
+    for lo in range(start, stop, _EXPORT_CHUNK):
+        yield lo, min(lo + _EXPORT_CHUNK, stop)
+
+
 class OperatorExport:
     """Sparse text export of an operator, one line per nonzero entry.
 
@@ -438,11 +491,16 @@ class OperatorExport:
     ingredient needed to rebuild the space.  Entries are ordered by
     source block, target block, source position, target position.
 
-    The entry order is sorted once, up front; the lines are formatted
-    ``_EXPORT_CHUNK`` entries at a time on every pass, so neither the
-    lines nor the text of the whole export are ever held at once.
-    Iterating yields the lines, :meth:`chunks` the text; both can be
-    repeated.
+    A source block at level n sends annihilation entries to level n - 1,
+    its diagonal to itself and creation entries to level n + 1, so each
+    source block emits those three runs in that order.  The annihilation
+    and the creation entries are each sorted once, up front, by one
+    ``lexsort`` over the annihilation triplets (the second with rows and
+    columns swapped); the lines are formatted ``_EXPORT_CHUNK`` entries at
+    a time on every pass, and the creation values with them, so neither
+    the lines, the text of the whole export nor the creation values are
+    ever held at once.  Iterating yields the lines, :meth:`chunks` the
+    text; both can be repeated.
     """
 
     def __init__(self, op: FieldOperator):
@@ -463,30 +521,54 @@ class OperatorExport:
         self._labels = [
             f"{n} {j}" for n in range(space.depth + 1) for j in range(len(space.blocks(n)))
         ]
-        self._starts = np.array([space.block_slice(*key).start for key in keys])
-        self._block = np.repeat(
-            np.arange(len(keys), dtype=np.int32), np.diff(self._starts, append=space.dim)
-        )
-        self._order = np.lexsort(
-            (op.rows, op.cols, self._block[op.rows], self._block[op.cols])
-        )
+        self._starts = np.array([space.block_slice(*key).start for key in keys] + [space.dim])
+        self._block = np.repeat(np.arange(len(keys), dtype=np.int32), np.diff(self._starts))
+        nothing = (np.empty(0, np.intp), [0] * (len(keys) + 1))
+        lowering, raising = op.kind in _LOWERING, op.kind in _RAISING
+        self._down = self._by_source(op.cols, op.rows) if lowering else nothing
+        self._up = self._by_source(op.rows, op.cols) if raising else nothing
+
+    def _by_source(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Order of the entries from ``src`` to ``dst`` by source block,
+        target block, source, target, and where each source block's run
+        starts in it (one more for the end)."""
+        src_block = self._block[src]
+        order = np.lexsort((dst, src, self._block[dst], src_block))
+        counts = np.bincount(src_block, minlength=len(self._labels))
+        return order, [0] + np.cumsum(counts).tolist()
+
+    def _lines(self, b: int, src: np.ndarray, dst: np.ndarray, vals: np.ndarray) -> list[str]:
+        """Lines of entries ``vals`` from positions ``src`` of block ``b`` to ``dst``."""
+        block, starts, labels = self._block, self._starts, self._labels
+        head = labels[b]
+        dst_block = block[dst]
+        return [
+            f"{head} {si} {labels[d]} {di} {v:.17g}"
+            for si, d, di, v in zip(
+                (src - starts[b]).tolist(),
+                dst_block.tolist(),
+                (dst - starts[dst_block]).tolist(),
+                vals.tolist(),
+            )
+        ]
 
     def _entry_chunks(self) -> Iterator[list[str]]:
-        op, block, starts, labels = self.op, self._block, self._starts, self._labels
-        for lo in range(0, len(self._order), _EXPORT_CHUNK):
-            take = self._order[lo : lo + _EXPORT_CHUNK]
-            cols, rows = op.cols[take], op.rows[take]
-            src, dst = block[cols], block[rows]
-            yield [
-                f"{labels[s]} {si} {labels[d]} {di} {v:.17g}"
-                for s, si, d, di, v in zip(
-                    src.tolist(),
-                    (cols - starts[src]).tolist(),
-                    dst.tolist(),
-                    (rows - starts[dst]).tolist(),
-                    op.vals[take].tolist(),
-                )
-            ]
+        op, starts = self.op, self._starts
+        (down, down_at), (up, up_at) = self._down, self._up
+        for b in range(len(self._labels)):
+            for lo, hi in _pieces(down_at[b], down_at[b + 1]):
+                take = down[lo:hi]
+                yield self._lines(b, op.cols[take], op.rows[take], op.vals[take])
+            if op.diag is not None:
+                for lo, hi in _pieces(max(starts[b], 1), starts[b + 1]):
+                    nonzero = np.flatnonzero(op.diag[lo - 1 : hi - 1]) + lo
+                    yield self._lines(b, nonzero, nonzero, op.diag[nonzero - 1])
+            for lo, hi in _pieces(up_at[b], up_at[b + 1]):
+                take = up[lo:hi]
+                rows, cols = op.rows[take], op.cols[take]
+                vals = _raised(op.space, rows, cols, op.vals[take])
+                nonzero = np.flatnonzero(vals)  # an underflow to exactly zero is no entry
+                yield self._lines(b, rows[nonzero], cols[nonzero], vals[nonzero])
 
     def __iter__(self) -> Iterator[str]:
         yield from self.header
@@ -497,7 +579,8 @@ class OperatorExport:
         """The export's text in pieces, each ending with a newline."""
         yield "\n".join(self.header) + "\n"
         for lines in self._entry_chunks():
-            yield "\n".join(lines) + "\n"
+            if lines:
+                yield "\n".join(lines) + "\n"
 
 
 def export_lines(op: FieldOperator) -> OperatorExport:

@@ -15,6 +15,7 @@ import pytest
 
 from levyfock import (
     CumulantModel,
+    FieldOperator,
     FockSpace,
     GridSpace,
     JumpMeasure,
@@ -269,3 +270,48 @@ def poly_product(ca: dict, cb: dict) -> dict:
 
 def poly_expectation(c: dict, model: CumulantModel) -> float:
     return math.fsum(v * joint_moment(model, e) for e, v in c.items())
+
+
+def operator_entries(op: FieldOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, vals)`` of every entry of the full operator ``op``:
+    creation, neutral, annihilation, in that order, exact zeros dropped.
+
+    The creation entries come from the annihilation triplets by the
+    documented adjoint formula, ``(c * (m * w_d)) / w_s`` from d to s for an
+    annihilation entry ``m`` from s to d, with ``c`` the level-weight ratio
+    and ``w`` the representative weights."""
+    level, rep = op.space.flat_weights
+    d, s, m = op.rows, op.cols, op.vals
+    c = level[d] / level[s]
+    parts = [
+        (s, d, (c * (m * rep[d])) / rep[s]),
+        (np.arange(1, op.space.dim), np.arange(1, op.space.dim), op.diag),
+        (d, s, m),
+    ]
+    rows, cols, vals = (np.concatenate(arrays) for arrays in zip(*parts))
+    keep = vals != 0.0
+    return rows[keep], cols[keep], vals[keep]
+
+
+def operator_apply(op: FieldOperator, x: np.ndarray) -> np.ndarray:
+    """The full operator ``op`` applied to ``x``: one ``np.bincount`` over the
+    entries of all three parts, which sums each image entry in entry order."""
+    rows, cols, vals = operator_entries(op)
+    return np.bincount(rows, vals * x[cols], minlength=op.space.dim).astype(float)
+
+
+def operator_export_entries(op: FieldOperator) -> list[str]:
+    """Entry lines of the full operator's export: one global ``np.lexsort``
+    by (source block, target block, source, target) over all entries."""
+    space = op.space
+    keys = space.block_keys()
+    starts = np.array([space.block_slice(*key).start for key in keys])
+    block = np.searchsorted(starts, np.arange(space.dim), side="right") - 1
+    labels = [f"{n} {j}" for n in range(space.depth + 1) for j in range(len(space.blocks(n)))]
+    rows, cols, vals = operator_entries(op)
+    order = np.lexsort((rows, cols, block[rows], block[cols]))
+    return [
+        f"{labels[block[c]]} {c - starts[block[c]]} {labels[block[r]]} {r - starts[block[r]]} "
+        f"{v:.17g}"
+        for r, c, v in zip(rows[order].tolist(), cols[order].tolist(), vals[order].tolist())
+    ]

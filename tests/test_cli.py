@@ -230,6 +230,29 @@ class TestOracleCheckCommand:
         assert main(["oracle-check", "--config", path]) == 2
         assert "oracle_levels 3 exceeds depth 2" in capsys.readouterr().err
 
+    def test_levels_past_the_exact_oracle_exit_2_at_once(self, tmp_path):
+        # one grid point admits any level under the basis limit; on five
+        # atoms the exact norms of level 30 alone took 13 s before this was
+        # refused
+        cfg = (
+            THREE_POINT_CFG.replace("weights 0.7 1.1 1.3", "weights 1.0")
+            .replace("values 0.9 -0.4 1.2", "values 0.8")
+            .replace("depth 6\ncheck_symmetry 1", "depth 30\noracle_levels 30")
+        )
+        path = write(tmp_path, "one-point.cfg", cfg)
+        src = str(Path(levyfock.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "levyfock.cli", "oracle-check", "--config", path],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert result.returncode == 2
+        assert "oracle level 30 exceeds the limit of 20" in result.stderr
+        assert result.stdout == ""
+
 
 class TestExportCommand:
     def test_writes_header_and_entries(self, tmp_path):
@@ -396,7 +419,8 @@ PINNED_EXPORTS = {
 def test_entry_bound_covers_pinned_exports(tmp_path, cfg):
     config = load_config(write(tmp_path, "run.cfg", cfg))
     space = cli._operator_space(config, config.depth)
-    assert len(jacobi.full(config.phi(), space).vals) <= space.entry_bound()
+    export = jacobi.export_lines(jacobi.full(config.phi(), space))
+    assert sum(not line.startswith("#") for line in export) <= space.entry_bound()
 
 
 @pytest.mark.parametrize("with_json", [False, True])
@@ -439,7 +463,7 @@ def test_oversize_export_exits_2_before_assembly(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "wide.cfg", cfg)
     out = tmp_path / "operator.txt"
     assert main(["export-operator", "--config", path, "--out", str(out)]) == 2
-    assert "up to 2,194,689,425 stored entries" in capsys.readouterr().err
+    assert "up to 2,194,689,425 operator entries" in capsys.readouterr().err
     assert not out.exists()
 
 

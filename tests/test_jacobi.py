@@ -3,6 +3,7 @@ from __future__ import annotations
 import bisect
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from levyfock import (
     CumulantModel,
     FockSpace,
     GridSpace,
+    JumpMeasure,
     MultiIndex,
     SymmetricTensor,
     TestFunction,
@@ -35,6 +37,9 @@ from conftest import (
     block_reps,
     block_symmetrize,
     constant,
+    operator_apply,
+    operator_entries,
+    operator_export_entries,
     poly_expectation,
     poly_product,
     random_measure,
@@ -119,8 +124,11 @@ class TestCreation:
     def test_top_level_images_are_dropped(self, random_setup):
         _, _, space, phi = random_setup
         op = creation(annihilation(phi, space))
-        top = space.block_slice(space.depth, space.blocks(space.depth)[0]).start
-        assert np.all(op.cols < top)
+        top = space.level_start(space.depth)
+        v = space.zero()
+        v.values[top:] = np.random.default_rng(6).normal(0, 1, space.dim - top)
+        assert np.all(op.apply(v).values == 0.0)
+        assert np.all(op.rows < top)  # the creation sources
 
 
 class TestNeutral:
@@ -129,14 +137,12 @@ class TestNeutral:
         image = neutral(phi, space).apply(space.vacuum())
         assert np.all(image.values == 0.0)
 
-    def test_keeps_one_position_array(self, random_setup):
-        # on an asymmetric measure no diagonal entry vanishes but the
-        # vacuum's, which is never assembled, so nothing is copied to drop
-        # it and the rows stay the columns
+    def test_stores_only_the_diagonal(self, random_setup):
+        # the vacuum's entry is exactly zero and never assembled
         _, _, space, phi = random_setup
         op = neutral(phi, space)
-        assert op.rows is op.cols
-        assert np.array_equal(op.rows, np.arange(1, space.dim))
+        assert op.diag.shape == (space.dim - 1,)
+        assert len(op.rows) == len(op.cols) == len(op.vals) == 0
 
     def test_level_one_action(self, random_setup):
         _, grid, space, phi = random_setup
@@ -389,37 +395,41 @@ class TestFullOperator:
             assert direct[key] == pytest.approx(combined[space.block_slice(*key)], rel=1e-12)
 
     def test_triplets_are_the_parts_in_order(self, random_setup):
-        # creation, neutral, annihilation, bit for bit, so every apply sum
-        # keeps its order
+        # each image entry sums its creation, neutral and annihilation terms
+        # in that order, each part in triplet order, bit for bit
         _, _, space, phi = random_setup
-        whole = full(phi, space)
-        minus = annihilation(phi, space)
-        parts = [creation(minus), neutral(phi, space), minus]
-        for name in ("rows", "cols", "vals"):
-            expected = np.concatenate([getattr(part, name) for part in parts])
-            assert np.array_equal(getattr(whole, name), expected)
-
-    def test_keeps_the_arrays_it_fills(self, random_setup, monkeypatch):
-        # the parts hold no exact zero, so the operator stores full's own
-        # exact-size arrays without a copy
-        _, _, space, phi = random_setup
-        given = {}
-        check = FieldOperator.__post_init__
-
-        def recording(self):
-            given[self.kind] = (self.rows, self.cols, self.vals)
-            check(self)
-
-        monkeypatch.setattr(FieldOperator, "__post_init__", recording)
         op = full(phi, space)
-        kept = (op.rows, op.cols, op.vals)
-        assert all(array is filled for array, filled in zip(kept, given["full"]))
-        assert all(array.base is None for array in given["full"])
+        rng = np.random.default_rng(4)
+        for x in (space.vacuum().values, rng.normal(0, 1, space.dim)):
+            image = op.apply(ExtendedFockVector(space, x)).values
+            assert image.tobytes() == operator_apply(op, x).tobytes()
 
-    def test_peak_memory_near_its_result(self):
-        # G = 6, D = 4, 2,534 entries: at the peak the parts and the result
-        # are alive together, 1.85 times the result; concatenating the parts
-        # and copying the concatenation peaked at 3.1 times
+    def test_holds_the_annihilation_part_and_the_diagonal(self, random_setup, monkeypatch):
+        # the annihilation arrays are kept without a copy, and nothing else
+        # is stored but the neutral diagonal: no creation or neutral triplets
+        _, _, space, phi = random_setup
+        built = []
+        build = jacobi.annihilation
+
+        def recording(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(jacobi, "annihilation", recording)
+        op = full(phi, space)
+        (minus,) = built
+        assert op.rows is minus.rows and op.cols is minus.cols and op.vals is minus.vals
+        assert np.array_equal(op.diag, neutral(phi, space).diag)
+        arrays = {name for name, value in vars(op).items() if isinstance(value, np.ndarray)}
+        assert arrays == {"rows", "cols", "vals", "diag"}
+
+    def test_build_and_export_peak_near_what_it_stores(self):
+        # G = 6, D = 4, 2,534 exported entries.  The operator stores 24 bytes
+        # per annihilation entry, which also serves its creation entry, and 8
+        # per diagonal entry: 12 or fewer per exported entry, where stored
+        # creation triplets would make it 24.  Building and exporting peaked
+        # at 168,623 bytes, 5.9 times the 28,624 stored: annihilation's
+        # assembly temporaries and one chunk of formatted lines
         rng = np.random.default_rng(5)
         measure = random_measure(rng, 6)
         grid = GridSpace(tuple(rng.uniform(0.5, 1.5, 6)))
@@ -431,10 +441,15 @@ class TestFullOperator:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             op = full(phi, space)
+            entries = sum(chunk.count("\n") for chunk in export_lines(op).chunks())
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 2.0 * (op.rows.nbytes + op.cols.nbytes + op.vals.nbytes)
+        entries -= len(export_lines(op).header)
+        stored = op.rows.nbytes + op.cols.nbytes + op.vals.nbytes + op.diag.nbytes
+        assert entries == 2534
+        assert stored <= 12 * entries
+        assert peak <= 7.0 * stored
 
     def test_zero_maps_to_zero(self, random_setup):
         _, _, space, phi = random_setup
@@ -606,6 +621,86 @@ def _per_entry_lines(op):
     return [line for _, line in sorted(entries)]
 
 
+SIX_ATOMS = ((-1.3, -0.4, 0.6, 1.1, 2.2, 3.1), (0.7, 1.2, 0.5, 0.9, 1.1, 0.8))
+# (grid weights, phi, (atom locations, atom weights), depth)
+REFERENCE_CASES = {
+    "one-point": ((1.3,), (0.8,), SIX_ATOMS, 5),
+    "two-point": ((0.7, 1.1), (0.9, -0.4), SIX_ATOMS, 4),
+    "three-point": ((0.7, 1.1, 1.3), (0.9, -0.4, 1.2), SIX_ATOMS, 4),
+    "table-exhausted": ((0.7, 1.1), (0.9, -0.4), ((-1.0, 0.5, 2.0), (0.5, 1.0, 0.7)), 5),
+    # the two-singleton representative (0, 1) has a zero phi sum
+    "zero-segment-sum": ((0.7, 1.1), (1.0, -1.0), SIX_ATOMS, 4),
+    # some creation values underflow to exactly zero
+    "subnormal-phi": ((0.7, 1.1), (5e-324, -0.4), SIX_ATOMS, 3),
+    "export-wide-11": None,
+}
+
+
+def reference_operator(name: str, monkeypatch) -> FieldOperator:
+    """The full operator of one reference case, on a space whose table
+    stops at the atom count."""
+    case = REFERENCE_CASES[name]
+    if case is None:  # the benchmark's export workload at seed 11
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        inputs = workloads.WORKLOADS["export-wide"].generate(11)
+        case = (inputs.grid_weights, inputs.phi, inputs.measure[1:], inputs.depth)
+    weights, values, (locations, masses), depth = case
+    measure, grid = JumpMeasure(locations, masses), GridSpace(weights)
+    space = FockSpace(grid, measure, stieltjes(measure, min(depth, len(locations))), depth)
+    return full(TestFunction(grid, values), space)
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+class TestAgainstReference:
+    """The stored annihilation part and diagonal, with the creation part
+    derived where it is used, against a reference that forms all three
+    parts' entries, exact zeros dropped, applies them by one bincount and
+    exports them by one global sort."""
+
+    def test_export_lines(self, name, monkeypatch):
+        op = reference_operator(name, monkeypatch)
+        export = export_lines(op)
+        assert list(export)[len(export.header) :] == operator_export_entries(op)
+
+    def test_apply_bit_for_bit(self, name, monkeypatch):
+        op = reference_operator(name, monkeypatch)
+        space = op.space
+        v = space.vacuum()
+        for _ in range(space.depth + 1):  # the vacuum iterates of the moments
+            image = op.apply(v).values
+            assert image.tobytes() == operator_apply(op, v.values).tobytes()
+            v = ExtendedFockVector(space, image)
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            x = rng.normal(0, 1, space.dim)
+            image = op.apply(ExtendedFockVector(space, x)).values
+            assert image.tobytes() == operator_apply(op, x).tobytes()
+
+
+def test_zero_diagonal_entries_are_absent(monkeypatch):
+    op = reference_operator("zero-segment-sum", monkeypatch)
+    zeros = np.flatnonzero(op.diag == 0.0) + 1
+    assert len(zeros) > 0
+    export = list(export_lines(op))
+    assert not any(line.endswith(" 0") for line in export)
+    x = np.random.default_rng(9).normal(0, 1, op.space.dim)
+    x[zeros] = math.inf  # a present entry would give 0 * inf = nan there
+    with np.errstate(invalid="ignore"):
+        image = op.apply(ExtendedFockVector(op.space, x)).values
+        expected = operator_apply(op, x)
+    assert np.array_equal(image, expected, equal_nan=True)
+    assert not np.any(np.isnan(image[zeros]))
+
+
+def test_underflowing_creation_values_are_not_exported(monkeypatch):
+    op = reference_operator("subnormal-phi", monkeypatch)
+    entries = sum(not line.startswith("#") for line in export_lines(op))
+    assert entries == len(operator_entries(op)[2])
+    assert entries < 2 * len(op.vals) + np.count_nonzero(op.diag)
+
+
 class TestExport:
     def test_header_and_determinism(self, random_setup):
         measure, grid, space, phi = random_setup
@@ -651,7 +746,7 @@ class TestExport:
             1e-300,
         ]
         vals = np.resize(np.array(pattern), len(op.vals))
-        odd = FieldOperator("full", space, phi, op.rows, op.cols, vals)
+        odd = FieldOperator("annihilation", space, phi, op.rows, op.cols, vals)
         export = export_lines(odd)
         assert list(export)[len(export.header) :] == _per_entry_lines(odd)
 
@@ -702,7 +797,7 @@ class TestSizePreflight:
         phi = constant(grid)
         assert space.entry_bound() == 2_194_689_425
         for build in (annihilation, full):
-            with pytest.raises(ValueError, match="up to 2,194,689,425 stored entries"):
+            with pytest.raises(ValueError, match="up to 2,194,689,425 operator entries"):
                 build(phi, space)
-        with pytest.raises(ValueError, match="stored entries"):
+        with pytest.raises(ValueError, match="operator entries"):
             vacuum_moments(phi, space, 12)

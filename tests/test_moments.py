@@ -227,6 +227,13 @@ class TestChaosOracle:
         with pytest.raises(ValueError, match="oracle scale exceeded"):
             chaos_inner_product(f, f, model, 3)
 
+    def test_level_guard(self, nu2, g1):
+        model = CumulantModel(nu2, g1)
+        model.check_level(20)
+        f = symmetric_from(g1, 21, lambda r: 1.0)
+        with pytest.raises(ValueError, match="oracle level 21 exceeds the limit of 20"):
+            chaos_inner_product(f, f, model, 21)
+
     def test_ill_conditioned_gram_aborts(self, nu2):
         # a nearly silent noise coordinate makes a monomial Gram matrix
         # numerically singular; the diagonal oracle has no Gram matrix and
