@@ -120,11 +120,14 @@ class TestRecurrenceCommand:
             if line.strip() and line.split()[0].isdigit()
         ]
         assert len(rows) == 9
+        # the Laguerre closed form: a_n = 2(n + 1), b_n = n(n + 1) and
+        # norm_sq[n] = n! (n + 1)!
         for row in rows:
             n = int(row[0])
-            assert abs(float(row[1]) - 2 * (n + 1)) <= 1e-8
-            if n > 0:
-                assert abs(float(row[2]) - n * (n + 1)) <= 1e-8
+            closed = [2 * (n + 1), n * (n + 1), math.factorial(n) * math.factorial(n + 1)]
+            for text, value in zip(row[1:], closed):
+                if text != "-":
+                    assert abs(float(text) / value - 1.0) <= 1e-13, (n, text)
 
     def test_inline_two_atoms(self, tmp_path, capsys):
         cfg = NU2_CFG.replace("depth 6", "depth 2").replace("max_moment 6", "max_moment 2")
@@ -330,7 +333,8 @@ check_symmetry 1
 # the half-depth moment pairing; the three-point export and moments from the
 # per-representative assembler; the multi-point and the three-point level-3
 # oracle reports, whose error lines carry the oracle's round-off, from the
-# diagonal orthogonal-polynomial oracle); a storage or summation-order change
+# diagonal orthogonal-polynomial oracle; the three gamma-rule reports from
+# the rule built on its own recurrence); a storage or summation-order change
 # must reproduce them.
 PINNED_REPORTS = [
     (
@@ -341,7 +345,7 @@ PINNED_REPORTS = [
     (
         "verify-moments",
         GAMMA_CFG,
-        "22c73395d34ec9f1c1b7a3925b55cc79cd0d3a7d7b65bba700297489b8ba84d1",
+        "18bedce088ba3bc94c86401579c990f803af91cf9b9c0204ef27273da9c7ff25",
     ),
     (
         "export-operator",
@@ -361,12 +365,12 @@ PINNED_REPORTS = [
     (
         "recurrence",
         GAMMA_CFG,
-        "a6857bfde57a517b40be96d1509f79e5feb707bf722f048ea0929ae014f343c0",
+        "60e738d0671f0f397b788af9a69ecb2f0258426f4f3fe349e35abef66233e082",
     ),
     (
         "classify",
         GAMMA_CFG,
-        "5f4fc8f1c0a78f1b2ac01af149bcc04be21e981da30563b68a5957332eb1d682",
+        "64dbe6d1e4250e003f0ad50d0a322af3d627831283229b418f8779ca98a60e45",
     ),
     (
         "oracle-check",
@@ -498,6 +502,31 @@ def _fresh_python(program: str, *args: str) -> str:
         check=True,
     )
     return result.stdout.strip()
+
+
+# VmHWM growth, in kB, from building the order-40 gamma rule once the CLI is
+# imported, with BLAS pinned to one thread; reads /proc.
+_GAMMA_RULE_PEAK_PROBE = """\
+import os
+
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[var] = "1"
+import levyfock.cli
+
+def status(key):
+    with open("/proc/self/status") as handle:
+        return next(int(line.split()[1]) for line in handle if line.startswith(key))
+
+base = status("VmHWM:")
+levyfock.cli.gauss_laguerre_gamma(40)
+print(status("VmHWM:") - base)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_gamma_rule_adds_little_peak():
+    # no LAPACK call to page in: the rule is built from its own recurrence
+    assert int(_fresh_python(_GAMMA_RULE_PEAK_PROBE)) <= 512
 
 
 # Peak RSS an export adds to the imported program, in bytes; reads /proc.

@@ -87,16 +87,29 @@ class TestGammaQuadrature:
             expected = float(math.factorial(k + 1))
             assert rule.moment(k) == pytest.approx(expected, rel=1e-10)
 
-    @pytest.mark.parametrize("order", [2, 5, 9])
+    @pytest.mark.parametrize("order", [2, 5, 9, 40, 73, 150])
     def test_exactness_degree(self, order):
         rule = gauss_laguerre_gamma(order)
+        assert all(s < t for s, t in zip(rule.locations, rule.locations[1:]))
+        assert rule.moment(0) == pytest.approx(1.0, abs=1e-13)
+        # s**k and (k + 1)! leave the double range below degree 2 * order
+        # from order 73 on, so the nodes are divided by c = 2**shift,
+        # which changes no term's relative rounding: moment k of the scaled
+        # rule is (k + 1)! / c**k
+        shift = math.floor(math.log2(rule.locations[-1]))
+        scaled = JumpMeasure(tuple(math.ldexp(s, -shift) for s in rule.locations), rule.weights)
         for k in range(2 * order):
-            expected = float(math.factorial(k + 1))
-            assert rule.moment(k) == pytest.approx(expected, rel=1e-9)
+            expected = math.factorial(k + 1) / 2 ** (shift * k)
+            assert abs(scaled.moment(k) / expected - 1.0) <= 1e-13, k
+
+    @pytest.mark.parametrize("order", [72, 73, 74, 75, 100, 180])
+    def test_high_orders_build(self, order):
+        assert gauss_laguerre_gamma(order).atom_count == order
 
     def test_underflowing_order_named(self):
-        with pytest.raises(ValueError, match=r"order 200: \d+ of its weights underflow to 0"):
-            gauss_laguerre_gamma(200)
+        for order in (200, 300):
+            with pytest.raises(ValueError, match=rf"order {order}: \d+ of its weights underflow to 0"):
+                gauss_laguerre_gamma(order)
 
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
