@@ -1,20 +1,17 @@
 """Independent ground truth: cumulants, moments, and the chaos oracle.
 
-The discretized noise has one independent coordinate per grid point whose
-cumulants of order two and above are the grid weight times the matching
-jump-size moment (order one vanishes: the noise is centered).  Everything
-here is derived from those cumulants alone -- no block structure, no
-recurrence coefficients -- which is what makes the module usable as an
-oracle for the rest of the system.
+The discretized noise has one independent coordinate per grid point, whose
+cumulants of order two and above are the grid weight times the jump-size
+moment (the noise is centered).  Everything here derives from those
+cumulants alone, with no block structure and no recurrence coefficients,
+so the module can serve as an oracle for the rest of the system.
 
-Because the coordinates are independent, the chaos part of a monomial
-``x^e`` of degree n is the product of each coordinate's monic orthogonal
-polynomial of degree ``e_i``, and these products are mutually orthogonal
-(Nualart and Schoutens 2000).  The chaos oracle is therefore diagonal on
-monomials; the squared polynomial norms of a coordinate are the pivots of
-the LDL^T factorization of its Hankel moment matrix (Gautschi 2004,
-section 2.1), taken in exact rational arithmetic, so no level loses digits
-to a Gram solve.
+The chaos part of a monomial ``x^e`` is the product of each coordinate's
+monic orthogonal polynomial of degree ``e_i``, and these products are
+orthogonal (Nualart and Schoutens 2000), so the chaos oracle is diagonal
+on monomials.  A coordinate's squared polynomial norms are the pivots of
+its Hankel moment matrix (Gautschi 2004, section 2.1), taken exactly in
+integer arithmetic (Bareiss 1968): no level loses digits to a Gram solve.
 """
 from __future__ import annotations
 
@@ -34,10 +31,9 @@ __all__ = ["moments_from_cumulants", "CumulantModel", "chaos_inner_product"]
 # Refuse a level whose monomials of degree up to the level exceed this
 # count: the weight table and its exact arithmetic grow with it.
 _ORACLE_BASIS_LIMIT = 10_000
-# Refuse a level above this whatever the grid: the exact Hankel pivots of
-# one grid point take 0.05 s at level 12, 0.8 s at level 20 and 1.4 s at
-# level 22 (five atoms, one core), growing faster than n**5, and a check
-# pays for every level up to its top one.
+# Refuse a level above this whatever the grid: one grid point's exact
+# weights take 0.11 s at level 20 and 1.5 s at level 30 (five atoms, one
+# core), and a check pays for every level up to its top one.
 _ORACLE_LEVEL_LIMIT = 20
 
 
@@ -63,29 +59,28 @@ def moments_from_cumulants(cumulants: Sequence[float]) -> list[float]:
 
 def _orthogonal_norms(sigma: float, levy: Sequence[float], degree: int) -> list:
     """Squared norms ``h(0) .. h(degree)`` of the monic orthogonal polynomials
-    of a noise coordinate, as exact fractions.
+    of a noise coordinate, as exact integer pairs ``(num, den)``.
 
-    The coordinate has cumulants ``sigma * levy[p - 2]`` for orders
-    ``p = 2 .. 2 * degree``, taken exactly.  Its moments follow from the
-    recursion of :func:`moments_from_cumulants`; the norms are the pivots of
-    the LDL^T factorization of the Hankel matrix ``[m(i + j)]``, by plain
-    Gaussian elimination.
+    The cumulants ``sigma * levy[p - 2]`` are dyadic, so times ``2**(s * p)``
+    (least such ``s``) they and the moments are integers.  Bareiss
+    elimination of the Hankel matrix divides exactly and leaves its leading
+    minors ``D(k)``: ``h(k) = D(k + 1) / (D(k) * 4**(s * k))``.
     """
-    from fractions import Fraction  # exact arithmetic, paid for by the oracle only
-
-    kappa = [Fraction(0)] * 2 + [Fraction(sigma) * Fraction(c) for c in levy]
-    moments = [Fraction(1)]
+    a, b = sigma.as_integer_ratio()
+    dyadic = [(a * n, (b * d).bit_length() - 1) for n, d in map(float.as_integer_ratio, levy)]
+    s = max([-(-t // p) for p, (_, t) in enumerate(dyadic, 2)], default=0)
+    kappa = [0, 0] + [n << s * p - t for p, (n, t) in enumerate(dyadic, 2)]
+    m = [1]
     for p in range(1, 2 * degree + 1):
-        moments.append(
-            sum(math.comb(p - 1, j - 1) * kappa[j] * moments[p - j] for j in range(1, p + 1))
-        )
-    hankel = [moments[i : i + degree + 1] for i in range(degree + 1)]
-    for k, row in enumerate(hankel):
-        for lower in hankel[k + 1 :]:
-            factor = lower[k] / row[k]
-            for j in range(k + 1, degree + 1):
-                lower[j] -= factor * row[j]
-    return [row[k] for k, row in enumerate(hankel)]
+        m.append(sum(math.comb(p - 1, j - 1) * kappa[j] * m[p - j] for j in range(2, p + 1)))
+    rows = [m[i : i + degree + 1] for i in range(degree + 1)]
+    norms, prev = [], 1
+    for k, row in enumerate(rows):  # symmetric: update j >= i only
+        norms.append((row[k], prev << 2 * s * k))
+        for i in range(k + 1, degree + 1):
+            rows[i][i:] = [(row[k] * x - row[i] * y) // prev for x, y in zip(rows[i][i:], row[i:])]
+        prev = row[k]
+    return norms
 
 
 class CumulantModel:
@@ -129,22 +124,26 @@ class CumulantModel:
 
     def _chaos_weights(self, level: int) -> np.ndarray:
         """Weight ``n! / prod(e_i!)**2 * prod h_i(e_i)`` of every sorted
-        ``level``-tuple, with ``e`` its exponent vector and ``h_i`` the
-        squared orthogonal-polynomial norms of coordinate ``i``; each weight
-        is formed exactly and rounded once."""
+        ``level``-tuple ``e`` (as exponents; ``h_i`` the norms of point
+        ``i``): one integer division each, which must be a normal double."""
         if level not in self._weights:
             levy = [self.measure.levy_moment(p) for p in range(2, 2 * level + 1)]
-            scaled = []  # h_i(k) / k!**2, one list per coordinate i
+            scaled = []  # h_i(k) / k!**2 as (num, den), a list per point i
             for sigma in self.grid.weights:
                 norms = _orthogonal_norms(sigma, levy, level)
-                scaled.append([h / math.factorial(k) ** 2 for k, h in enumerate(norms)])
+                scaled.append([(h, d * math.factorial(k) ** 2) for k, (h, d) in enumerate(norms)])
             top = math.factorial(level)
-            self._weights[level] = np.array(
-                [
-                    float(top * math.prod(scaled[i][e] for i, e in enumerate(exps)))
-                    for exps in _exponents(self.grid.size, level)
-                ]
-            )
+            weights = []
+            for exps in _exponents(self.grid.size, level):
+                num, den = map(math.prod, zip(*(scaled[i][e] for i, e in enumerate(exps))))
+                try:
+                    w = top * num / den
+                except OverflowError:
+                    w = math.inf
+                if num and not 2.0**-1022 <= abs(w) < math.inf:
+                    raise ValueError(f"oracle level {level}: a weight rounds to {w}, out of range")
+                weights.append(w)
+            self._weights[level] = np.array(weights)
         return self._weights[level]
 
 
@@ -163,16 +162,12 @@ def chaos_inner_product(
 ) -> float:
     """Brute-force level-``level`` chaos inner product of two symmetric tensors.
 
-    The pairing of the noise with ``f`` is a polynomial with one monomial
-    ``x^e`` per sorted tuple (the order of ``f.values``), times the
-    arrangement count ``n! / prod(e_i!)``.  Its chaos part replaces each
-    monomial by the product of the coordinates' monic orthogonal
-    polynomials of degrees ``e_i``; these products are orthogonal, so the
-    expectation of the product of the two chaos parts, divided by the
-    factorial of the level, is ``sum_e w_n(e) f_e g_e`` with
-    ``w_n(e) = n! / prod(e_i!)**2 * prod h_i(e_i)``.  Nothing here touches
-    the block-structured formulas, so the result is an independent check
-    of them.
+    The pairing of the noise with ``f`` has one monomial ``x^e`` per sorted
+    tuple (the order of ``f.values``), times ``n! / prod(e_i!)``.  Its chaos
+    part replaces each monomial by the product of the points' monic
+    orthogonal polynomials of degrees ``e_i``; these are orthogonal, so the
+    two chaos parts pair, over ``n!``, to ``sum_e w_n(e) f_e g_e``
+    (:meth:`CumulantModel._chaos_weights`).  No block formula is used.
     """
     if f.level != level or g.level != level:
         raise ValueError("tensors must both live at the requested level")

@@ -9,6 +9,7 @@ import functools
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -270,6 +271,39 @@ def poly_product(ca: dict, cb: dict) -> dict:
 
 def poly_expectation(c: dict, model: CumulantModel) -> float:
     return math.fsum(v * joint_moment(model, e) for e, v in c.items())
+
+
+def hankel_pivots(sigma: float, levy, degree: int) -> list[Fraction]:
+    """Squared norms ``h(0) .. h(degree)`` of the monic orthogonal polynomials
+    of a coordinate with cumulants ``sigma * levy[p - 2]`` (``p >= 2``), in
+    plain fractions: moments by the cumulant recursion, then Gaussian
+    elimination of the Hankel matrix ``[m(i + j)]``, pivots read off its
+    diagonal."""
+    kappa = [Fraction(0)] * 2 + [Fraction(sigma) * Fraction(c) for c in levy]
+    m = [Fraction(1)]
+    for p in range(1, 2 * degree + 1):
+        m.append(sum(math.comb(p - 1, j - 1) * kappa[j] * m[p - j] for j in range(1, p + 1)))
+    a = [[m[i + j] for j in range(degree + 1)] for i in range(degree + 1)]
+    for k in range(degree + 1):
+        for i in range(k + 1, degree + 1):
+            factor = a[i][k] / a[k][k]
+            for j in range(k, degree + 1):
+                a[i][j] -= factor * a[k][j]
+    return [a[k][k] for k in range(degree + 1)]
+
+
+def chaos_weights_exact(sigmas, levy, level: int) -> list[Fraction]:
+    """Exact chaos weight ``n! / prod(e_i!)**2 * prod h_i(e_i)`` of each sorted
+    ``level``-tuple of the points with grid weights ``sigmas``, from
+    :func:`hankel_pivots`."""
+    norms = [hankel_pivots(sigma, levy, level) for sigma in sigmas]
+    weights = []
+    for rep in sorted_tuples(len(sigmas), level):
+        weight = Fraction(math.factorial(level))
+        for h, e in zip(norms, _exponents(len(sigmas), rep)):
+            weight *= h[e] / math.factorial(e) ** 2
+        weights.append(weight)
+    return weights
 
 
 def operator_entries(op: FieldOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

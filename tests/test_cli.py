@@ -256,6 +256,29 @@ class TestOracleCheckCommand:
         assert "oracle level 30 exceeds the limit of 20" in result.stderr
         assert result.stdout == ""
 
+    # the block side overflows too (a numpy RuntimeWarning) before the oracle refuses
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "weights, rounded",
+        [("1e300 1.0", "inf"), ("1e-300 1.0", "0.0"), ("1e-160 1.0", "1e-320")],
+        ids=["overflow", "underflow", "subnormal"],
+    )
+    def test_weight_outside_the_doubles_exits_2(self, tmp_path, capsys, weights, rounded):
+        # one unit atom: point 0's level-2 weight h(2) / 2 is sigma**2 exactly
+        # (1e600, 1e-600, 1e-320), which no normal double holds; nothing is
+        # reported
+        cfg = (
+            MULTI_POINT_CFG.replace("locations -1 0.5 2", "locations 1")
+            .replace("weights 0.6 0.9 0.4", "weights 1")
+            .replace("weights 0.7 1.1 1.3", f"weights {weights}")
+            .replace("values 0.9 -0.4 1.2", "values 0.9 -0.4")
+        )
+        path = write(tmp_path, "range.cfg", cfg)
+        assert main(["oracle-check", "--config", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"oracle level 2: a weight rounds to {rounded}, out of range" in err
+
 
 class TestExportCommand:
     def test_writes_header_and_entries(self, tmp_path):
@@ -484,10 +507,22 @@ def test_cli_import_leaves_json_unloaded():
     assert _fresh_python("import levyfock.cli, sys; print('json' in sys.modules)") == "False"
 
 
-def test_cli_import_leaves_fractions_unloaded():
-    # only the chaos oracle pays for exact arithmetic (fractions loads decimal)
-    probe = "import levyfock.cli, sys; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
-    assert _fresh_python(probe) == "[]"
+# Exit code of an oracle-check, then which of fractions and decimal are loaded.
+_ORACLE_MODULES_PROBE = """\
+import sys
+import levyfock.cli
+
+code = levyfock.cli.main(["oracle-check", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, sorted({"fractions", "decimal"} & set(sys.modules)))
+"""
+
+
+def test_cli_import_leaves_fractions_unloaded(tmp_path):
+    # the chaos oracle's exact arithmetic is in integers, so neither the
+    # import nor an oracle-check loads fractions (which loads decimal)
+    path = write(tmp_path, "multi.cfg", MULTI_POINT_CFG)
+    out = str(tmp_path / "report.txt")
+    assert _fresh_python(_ORACLE_MODULES_PROBE, path, out) == "0 []"
 
 
 def _fresh_python(program: str, *args: str) -> str:
@@ -504,10 +539,11 @@ def _fresh_python(program: str, *args: str) -> str:
     return result.stdout.strip()
 
 
-# VmHWM growth, in kB, from building the order-40 gamma rule once the CLI is
-# imported, with BLAS pinned to one thread; reads /proc.
-_GAMMA_RULE_PEAK_PROBE = """\
+# VmHWM growth, in kB, from one call once the CLI is imported, with BLAS
+# pinned to one thread; reads /proc.
+_PEAK_PROBE = """\
 import os
+import sys
 
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
     os.environ[var] = "1"
@@ -518,7 +554,7 @@ def status(key):
         return next(int(line.split()[1]) for line in handle if line.startswith(key))
 
 base = status("VmHWM:")
-levyfock.cli.gauss_laguerre_gamma(40)
+{call}
 print(status("VmHWM:") - base)
 """
 
@@ -526,7 +562,18 @@ print(status("VmHWM:") - base)
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 def test_gamma_rule_adds_little_peak():
     # no LAPACK call to page in: the rule is built from its own recurrence
-    assert int(_fresh_python(_GAMMA_RULE_PEAK_PROBE)) <= 512
+    probe = _PEAK_PROBE.format(call="levyfock.cli.gauss_laguerre_gamma(40)")
+    assert int(_fresh_python(probe)) <= 512
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_oracle_check_adds_little_peak(tmp_path):
+    # three points, level 2: about 600 kB; with decimal loaded, as the
+    # rational weights loaded it, about 900 kB
+    call = 'levyfock.cli.main(["oracle-check", "--config", sys.argv[1], "--out", sys.argv[2]])'
+    path = write(tmp_path, "multi.cfg", MULTI_POINT_CFG)
+    added = _fresh_python(_PEAK_PROBE.format(call=call), path, str(tmp_path / "report.txt"))
+    assert int(added) <= 768
 
 
 # Peak RSS an export adds to the imported program, in bytes; reads /proc.

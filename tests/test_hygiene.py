@@ -1,7 +1,7 @@
 """Source hygiene, read with ``ast``: no unused imports, the shared test
 oracles import only the package's public names, the chaos oracle loads no
 block code at run time, and no module of the package reaches
-``numpy.linalg``."""
+``numpy.linalg`` or imports ``fractions`` or ``decimal``."""
 from __future__ import annotations
 
 import ast
@@ -112,4 +112,25 @@ def test_package_uses_no_linalg():
         for path in sorted((ROOT / "src" / "levyfock").glob("*.py"))
     }
     assert "measures.py" in uses
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def exact_arithmetic_imports(tree: ast.Module) -> list[str]:
+    """Imports of ``fractions`` or ``decimal``, function-local ones too."""
+    modules = {"fractions", "decimal"}
+    return [name for name in runtime_imports(tree) if name.split(".")[0] in modules]
+
+
+def test_package_imports_no_fractions_or_decimal():
+    # the oracle's exact weights are integer arithmetic; fractions would
+    # page in decimal's C extension on every oracle-check
+    sample = ast.parse(
+        "import decimal\ndef f():\n    from fractions import Fraction\nfrom .fractions import g\n"
+    )
+    assert exact_arithmetic_imports(sample) == ["decimal", "fractions.Fraction"]
+    uses = {
+        path.name: exact_arithmetic_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((ROOT / "src" / "levyfock").glob("*.py"))
+    }
+    assert "moments.py" in uses
     assert {name: found for name, found in uses.items() if found} == {}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,9 +20,12 @@ from levyfock import (
     moments_from_cumulants,
     stieltjes,
 )
+from levyfock.moments import _orthogonal_norms
 
 from conftest import (
+    chaos_weights_exact,
     constant,
+    hankel_pivots,
     joint_moment,
     pairing_coefficients,
     poly_expectation,
@@ -244,7 +248,7 @@ class TestChaosOracle:
         f = symmetric_from(model.grid, 2, lambda r: 1.0)
         for _ in range(2):  # the second call reads the level's memoized weights
             assert chaos_inner_product(f, f, model, 2) == pytest.approx(
-                (sigma + 2 * sigma**2) / 2, rel=1e-15
+                (sigma + 2 * sigma**2) / 2, rel=1e-15, abs=0
             )
 
     def test_charlier_norms_exact_at_every_level(self, nup):
@@ -256,7 +260,38 @@ class TestChaosOracle:
         for level in range(17):
             e = SymmetricTensor.basis_element(model.grid, level, 0)
             got = chaos_inner_product(e, e, model, level)
-            assert got == pytest.approx(sigma**level, rel=2.2e-16), level
+            assert got == pytest.approx(sigma**level, rel=2.2e-16, abs=0), level
+
+    @pytest.mark.parametrize("degree", range(11))
+    def test_norms_equal_plain_fraction_elimination(self, degree):
+        # the integer pivots against Gaussian elimination in fractions, as
+        # rationals: a nearly silent point, an ordinary one and one far from
+        # unit scale, with a measure's cumulants and with random signed ones
+        rng = np.random.default_rng(500 + degree)
+
+        def dyadic(low, high, shift):
+            return math.ldexp(rng.uniform(low, high), int(rng.integers(-shift, shift)))
+
+        measure = random_measure(rng, 5)
+        for levy in (
+            [measure.levy_moment(p) for p in range(2, 2 * degree + 1)],
+            [dyadic(-1.0, 1.0, 40) for _ in range(2 * degree - 1)],
+        ):
+            for sigma in (1e-30, dyadic(0.1, 3.0, 1), dyadic(0.5, 1.0, 80)):
+                got = [Fraction(num, den) for num, den in _orthogonal_norms(sigma, levy, degree)]
+                assert got == hankel_pivots(sigma, levy, degree), sigma
+
+    def test_weights_are_the_exact_weights_rounded_once(self):
+        # every weight up to level 6 on three points is float() of the exact
+        # rational weight, bit for bit
+        rng = np.random.default_rng(31)
+        measure = random_measure(rng, 5)
+        grid = GridSpace((1e-30, rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)))
+        model = CumulantModel(measure, grid)
+        for level in range(7):
+            levy = [measure.levy_moment(p) for p in range(2, 2 * level + 1)]
+            want = [float(w) for w in chaos_weights_exact(grid.weights, levy, level)]
+            assert model._chaos_weights(level).tolist() == want, level
 
     def test_models_on_one_grid_keep_their_own_moments(self, nu2, nup):
         # two measures on the same grid, queried alternately: each model must
