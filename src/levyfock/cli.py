@@ -377,6 +377,9 @@ def cmd_oracle_check(cfg: RunConfig, report: Report) -> int:
     raise ``oracle_levels`` only within the validity domain of the
     measure at hand.  A top level the exact oracle cannot finish is
     refused before anything is built (:meth:`CumulantModel.check_level`).
+    A pair's error is ``|block - oracle|`` over the oracle norms of its two
+    tensors, ``sqrt(o_ii) * sqrt(o_jj)``, the Cauchy-Schwarz bound of the
+    oracle value: a grid point of tiny weight is checked at its own scale.
     """
     measure, grid = cfg.measure(), cfg.grid()
     model = CumulantModel(measure, grid)
@@ -390,16 +393,20 @@ def cmd_oracle_check(cfg: RunConfig, report: Report) -> int:
     pairs = 0
     for n in range(cfg.oracle_levels + 1):
         dim = space.basis(MultiIndex((n,))).dim
-        errors = []
         tensors = [SymmetricTensor.basis_element(grid, n, i) for i in range(dim)]
         embedded = [space.embed_symmetric(f) for f in tensors]
-        for i in range(dim):
-            for j in range(i, dim):
-                block_value = level_inner_product(embedded[i], embedded[j], n)
-                oracle_value = chaos_inner_product(tensors[i], tensors[j], model, n)
-                err = abs(block_value - oracle_value) / max(1.0, abs(oracle_value))
-                errors.append(err)
-                pairs += 1
+        oracle = {
+            (i, j): chaos_inner_product(tensors[i], tensors[j], model, n)
+            for i in range(dim)
+            for j in range(i, dim)
+        }
+        root = [math.sqrt(oracle[i, i]) for i in range(dim)]
+        errors = []
+        for (i, j), oracle_value in oracle.items():
+            block_value = level_inner_product(embedded[i], embedded[j], n)
+            scale = root[i] * root[j]  # a zero or NaN norm cannot scale: NaN, which fails
+            errors.append(abs(block_value - oracle_value) / scale if scale > 0.0 else math.nan)
+        pairs += len(errors)
         level_worst.append(float(np.max(errors)))  # unlike max(), np.max keeps a NaN
         report.add(f"level{n}.max-rel-error", level_worst[-1])
     worst_overall = float(np.max(level_worst))

@@ -390,36 +390,30 @@ def vacuum_moments(phi: TestFunction, space: FockSpace, k_max: int) -> list[floa
     return out
 
 
-def _scaled_gap(keys_a, vals_a, keys_b, vals_b) -> float:
-    """Largest entry of |A - B| over the largest entry of |A| or |B|.
+def _pairing_gap(op: FieldOperator, take: np.ndarray, kind: str, diag: np.ndarray | None) -> float:
+    """Largest pairing gap over the largest pairing, entry by entry.
 
-    A and B are sparse, given as distinct keys and their values.
+    Creation entry i transposes annihilation entry i, so the pairings
+    ``w[c] * raised[i]`` and ``w[r] * vals[i]`` meet at one (row, column)
+    pair and at no other entry's: creation raises a level, annihilation
+    lowers one, the diagonal keeps it.  Over the annihilation entries
+    ``take``, a part that ``kind`` leaves out pairs to 0.0; a diagonal
+    pairing p (``diag`` from flat position 1) meets itself, gap p - p.
     """
-    keys, slot = np.unique(np.concatenate([keys_a, keys_b]), return_inverse=True)
-    gap = np.bincount(slot, np.concatenate([vals_a, -vals_b]), minlength=len(keys))
-    scale = max(
-        float(np.max(np.abs(vals_a), initial=0.0)),
-        float(np.max(np.abs(vals_b), initial=0.0)),
-        1e-300,
-    )
-    return float(np.max(np.abs(gap), initial=0.0)) / scale
-
-
-def _triplets(op: FieldOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, cols, vals)`` of the entries of the parts ``op`` applies:
-    creation, neutral, annihilation, each in triplet order; a one-part
-    operator's arrays are not copied."""
-    parts = []
-    if op.kind in _RAISING:
-        parts.append((op.cols, op.rows, _raised(op.space, op.rows, op.cols, op.vals)))
-    if op.diag is not None:
-        positions = np.arange(1, op.space.dim)
-        parts.append((positions, positions, op.diag))
-    if op.kind in _LOWERING:
-        parts.append((op.rows, op.cols, op.vals))
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    space = op.space
+    weights = np.multiply(*space.flat_weights)
+    rows, cols, vals = op.rows[take], op.cols[take], op.vals[take]
+    up = weights[cols] * _raised(space, rows, cols, vals) if kind in _RAISING else 0.0
+    down = weights[rows] * vals if kind in _LOWERING else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are results here
+        pairings, gaps = [up, down], [up - down]
+        if diag is not None:
+            pairings.append(weights[1 : len(diag) + 1] * diag)
+            gaps.append(pairings[-1] - pairings[-1])
+    # np.max, unlike max(), keeps a NaN
+    gap = np.max([np.max(np.abs(g), initial=0.0) for g in gaps])
+    scale = np.max([np.max(np.abs(p), initial=0.0) for p in pairings])
+    return float(gap) / max(float(scale), 1e-300)
 
 
 def symmetry_defect(op: FieldOperator) -> float:
@@ -429,14 +423,15 @@ def symmetry_defect(op: FieldOperator) -> float:
     entry (r, c) times the pairing weight of r.  Pairings are taken over
     all basis vectors strictly below the truncation level, where no
     creation image is dropped, so a symmetric operator must give a
-    symmetric matrix up to round-off.
+    symmetric matrix up to round-off.  Only the parts ``op`` applies
+    count.  The entries are compared one by one (:func:`_pairing_gap`);
+    as creation is derived from annihilation, an operator built here reads
+    round-off by construction, and a commutator check is the planned
+    replacement.
     """
-    op_rows, op_cols, op_vals = _triplets(op)
     low = op.space.level_start(op.space.depth)
-    inside = (op_rows < low) & (op_cols < low)
-    rows, cols = op_rows[inside], op_cols[inside]
-    pairing = np.multiply(*op.space.flat_weights)[rows] * op_vals[inside]
-    return _scaled_gap(cols * low + rows, pairing, rows * low + cols, pairing)
+    diag = None if op.diag is None else op.diag[: low - 1]
+    return _pairing_gap(op, op.cols < low, op.kind, diag)
 
 
 def adjoint_defect(plus: FieldOperator, minus: FieldOperator) -> float:
@@ -444,23 +439,19 @@ def adjoint_defect(plus: FieldOperator, minus: FieldOperator) -> float:
 
     Compares the pairing of a raised basis vector against every other
     basis vector with the pairing against the lowered one, for all source
-    vectors strictly below the truncation level.
+    vectors strictly below the truncation level.  ``plus`` must be
+    ``creation(minus)``, sharing its arrays, so each raised entry is
+    compared with the lowered entry it transposes (:func:`_pairing_gap`);
+    by construction this reads round-off, and a commutator check is the
+    planned replacement.
     """
-    space = plus.space
-    if minus.space is not space and not space.compatible(minus.space):
-        raise ValueError("operators live in different spaces")
-    plus_rows, plus_cols, plus_vals = _triplets(plus)
-    minus_rows, minus_cols, minus_vals = _triplets(minus)
-    low, dim = space.level_start(space.depth), space.dim
-    weights = np.multiply(*space.flat_weights)
-    up = plus_cols < low
-    down = minus_rows < low
-    return _scaled_gap(
-        plus_cols[up] * dim + plus_rows[up],
-        weights[plus_rows[up]] * plus_vals[up],
-        minus_rows[down] * dim + minus_cols[down],
-        weights[minus_rows[down]] * minus_vals[down],
+    shared = all(
+        getattr(plus, name) is getattr(minus, name) for name in ("space", "rows", "cols", "vals")
     )
+    if not (plus.kind == "creation" and minus.kind == "annihilation" and shared):
+        raise ValueError("plus must be the creation part of minus")
+    low = minus.space.level_start(minus.space.depth)
+    return _pairing_gap(minus, minus.rows < low, "full", None)
 
 
 def measure_hash(measure: JumpMeasure) -> str:

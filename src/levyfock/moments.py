@@ -90,12 +90,15 @@ class CumulantModel:
     ``kappa[p] = sigma_i * levy_moment(p)`` for ``p >= 2`` and zero mean.
     The chaos oracle's weights are memoized per level on the model
     instance; the memo is only ever grown, one atomic assignment per level.
+    Each point's norms are computed once, to the highest level checked.
     """
 
     def __init__(self, measure: JumpMeasure, grid: GridSpace):
         self.measure = measure
         self.grid = grid
         self._weights: dict[int, np.ndarray] = {}
+        self._top = 0  # the highest level checked
+        self._scaled: list[list] = []  # h_i(k) / k!**2 as (num, den), a list per point i
 
     def cumulant(self, phi: TestFunction, p: int) -> float:
         """Cumulant of order ``p`` of the pairing of the noise with ``phi``."""
@@ -121,17 +124,21 @@ class CumulantModel:
             )
         if math.comb(self.grid.size + level, level) > _ORACLE_BASIS_LIMIT:
             raise ValueError("oracle scale exceeded: monomial basis too large")
+        self._top = max(self._top, level)
 
     def _chaos_weights(self, level: int) -> np.ndarray:
         """Weight ``n! / prod(e_i!)**2 * prod h_i(e_i)`` of every sorted
         ``level``-tuple ``e`` (as exponents; ``h_i`` the norms of point
         ``i``): one integer division each, which must be a normal double."""
         if level not in self._weights:
-            levy = [self.measure.levy_moment(p) for p in range(2, 2 * level + 1)]
-            scaled = []  # h_i(k) / k!**2 as (num, den), a list per point i
-            for sigma in self.grid.weights:
-                norms = _orthogonal_norms(sigma, levy, level)
-                scaled.append([(h, d * math.factorial(k) ** 2) for k, (h, d) in enumerate(norms)])
+            if not self._scaled or len(self._scaled[0]) <= level:
+                degree = max(level, self._top)
+                levy = [self.measure.levy_moment(p) for p in range(2, 2 * degree + 1)]
+                self._scaled = [
+                    [(h, d * math.factorial(k) ** 2) for k, (h, d) in enumerate(norms)]
+                    for norms in (_orthogonal_norms(s, levy, degree) for s in self.grid.weights)
+                ]
+            scaled = self._scaled
             top = math.factorial(level)
             weights = []
             for exps in _exponents(self.grid.size, level):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import levyfock
@@ -279,6 +280,30 @@ class TestOracleCheckCommand:
         assert out == ""
         assert f"oracle level 2: a weight rounds to {rounded}, out of range" in err
 
+    def test_tiny_point_checked_at_its_own_scale(self, tmp_path, capsys, monkeypatch):
+        # grid weights 1e-300 and 1: every pairing that touches point 0 is
+        # near 1e-300, so an error divided by max(1, |oracle|) passed a block
+        # side 1.5 times too large there; over the oracle norms it reads 0.5
+        block = cli.level_inner_product
+
+        def off_on_point_0(f, g, n):
+            value = block(f, g, n)
+            return 1.5 * value if abs(value) < 1e-200 else value
+
+        monkeypatch.setattr(cli, "level_inner_product", off_on_point_0)
+        cfg = (
+            THREE_POINT_CFG.replace("weights 0.7 1.1 1.3", "weights 1e-300 1.0")
+            .replace("values 0.9 -0.4 1.2", "values 0.9 -0.4")
+            .replace("depth 6\ncheck_symmetry 1", "depth 2\noracle_levels 2")
+        )
+        path = write(tmp_path, "tiny.cfg", cfg)
+        assert main(["oracle-check", "--config", path]) == 1
+        out = capsys.readouterr().out
+        errors = dict(line.split() for line in out.splitlines() if "max-rel-error" in line)
+        for level in (1, 2):
+            assert float(errors[f"level{level}.max-rel-error"]) == pytest.approx(0.5, rel=1e-12)
+        assert "status fail" in out
+
 
 class TestExportCommand:
     def test_writes_header_and_entries(self, tmp_path):
@@ -435,6 +460,22 @@ def test_report_bytes_pinned(tmp_path, command, cfg, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("index", [0, 8, 10])
+def test_defect_check_sorts_nothing(tmp_path, monkeypatch, index):
+    # each creation entry is compared with the annihilation entry it
+    # transposes, so no key is matched by a sort
+    def refused(*args, **kwargs):
+        raise AssertionError("sorted")
+
+    for name in ("unique", "sort", "argsort", "lexsort"):
+        monkeypatch.setattr(np, name, refused)
+    command, cfg, digest = PINNED_REPORTS[index]
+    assert command == "verify-moments" and "check_symmetry 1" in cfg
+    cfg_path, out = write(tmp_path, "run.cfg", cfg), tmp_path / "report.txt"
+    assert main([command, "--config", cfg_path, "--json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 PINNED_EXPORTS = {
     f"{command}-{i}": cfg
     for i, (command, cfg, _) in enumerate(PINNED_REPORTS)
@@ -574,6 +615,16 @@ def test_oracle_check_adds_little_peak(tmp_path):
     path = write(tmp_path, "multi.cfg", MULTI_POINT_CFG)
     added = _fresh_python(_PEAK_PROBE.format(call=call), path, str(tmp_path / "report.txt"))
     assert int(added) <= 768
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_defect_check_adds_little_peak(tmp_path):
+    # two points, depth 4: about 800 kB comparing each entry with its
+    # transpose; about 1,260 kB when np.unique matched int64 keys
+    call = 'levyfock.cli.main(["verify-moments", "--config", sys.argv[1], "--out", sys.argv[2]])'
+    path = write(tmp_path, "sym.cfg", TWO_POINT_CFG + "check_symmetry 1\n")
+    added = _fresh_python(_PEAK_PROBE.format(call=call), path, str(tmp_path / "report.txt"))
+    assert int(added) <= 1024
 
 
 # Peak RSS an export adds to the imported program, in bytes; reads /proc.
@@ -797,6 +848,24 @@ class TestNanVerdicts:
         path = write(tmp_path, "sym.cfg", NU2_CFG + "check_symmetry 1\n")
         assert main(["verify-moments", "--config", path]) == 1
         assert "status fail" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("part,where", [("annihilation", "vals"), ("neutral", "diag")])
+    def test_infinite_entry_fails(self, tmp_path, capsys, monkeypatch, part, where):
+        build = getattr(cli, part)
+
+        def with_inf(*args):
+            op = build(*args)
+            getattr(op, where)[0] = math.inf  # level 0 to 1, or flat position 1
+            return op
+
+        monkeypatch.setattr(cli, part, with_inf)
+        path = write(tmp_path, "sym.cfg", TWO_POINT_CFG + "check_symmetry 1\n")
+        assert main(["verify-moments", "--config", path]) == 1
+        out = capsys.readouterr().out
+        key = "adjoint-defect" if part == "annihilation" else "neutral-symmetry-defect"
+        (line,) = [line for line in out.splitlines() if line.startswith(key + " ")]
+        assert not math.isfinite(float(line.split()[1]))
+        assert "status fail" in out
 
     def test_nan_oracle_error_fails(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "chaos_inner_product", lambda f, g, model, n: math.nan)

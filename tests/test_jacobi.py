@@ -572,13 +572,17 @@ def dense_pairing(op):
 
 class TestSymmetryAndAdjointness:
     def test_defects_equal_dense_one_hot_reference(self, random_setup):
+        # bit for bit, for every kind: the entry-by-entry gaps are the dense
+        # matrix's, whose one-hot images hold each entry alone
         _, _, space, phi = random_setup
         low = space.block_slice(space.depth, space.blocks(space.depth)[0]).start
-        pairing = dense_pairing(full(phi, space))[:low, :low]
-        expected = np.max(np.abs(pairing - pairing.T)) / max(np.max(np.abs(pairing)), 1e-300)
-        assert symmetry_defect(full(phi, space)) == expected
-
         minus = annihilation(phi, space)
+        for op in (creation(minus), neutral(phi, space), minus, full(phi, space)):
+            pairing = dense_pairing(op)[:low, :low]
+            scale = max(np.max(np.abs(pairing)), 1e-300)
+            expected = np.max(np.abs(pairing - pairing.T)) / scale
+            assert symmetry_defect(op) == expected, op.kind
+
         raised = dense_pairing(creation(minus))[:low]
         lowered = dense_pairing(minus).T[:low]
         scale = max(np.max(np.abs(raised)), np.max(np.abs(lowered)), 1e-300)
@@ -598,6 +602,28 @@ class TestSymmetryAndAdjointness:
         minus = annihilation(phi, space)
         defect = adjoint_defect(creation(minus), minus)
         assert defect <= 1e-10
+
+    def test_adjoint_defect_needs_the_creation_part_of_minus(self, random_setup):
+        # each raised entry is compared with the lowered entry it transposes,
+        # so plus must read minus's own arrays
+        _, _, space, phi = random_setup
+        minus = annihilation(phi, space)
+        other = annihilation(phi, space)
+        for plus, lower in ((creation(other), minus), (minus, minus), (full(phi, space), minus)):
+            with pytest.raises(ValueError, match="plus must be the creation part of minus"):
+                adjoint_defect(plus, lower)
+        with pytest.raises(ValueError, match="plus must be the creation part of minus"):
+            adjoint_defect(creation(minus), creation(minus))
+
+    @pytest.mark.parametrize("where", ["vals", "diag"])
+    def test_infinite_entry_gives_a_non_finite_defect(self, random_setup, where):
+        _, _, space, phi = random_setup
+        op = full(phi, space)
+        getattr(op, where)[0] = np.inf  # first entry: level 0 to 1, or position 1
+        assert not math.isfinite(symmetry_defect(op))
+        if where == "vals":
+            minus = FieldOperator("annihilation", space, phi, op.rows, op.cols, op.vals)
+            assert not math.isfinite(adjoint_defect(creation(minus), minus))
 
     def test_creation_rejects_non_annihilation(self, random_setup):
         _, _, space, phi = random_setup

@@ -20,6 +20,7 @@ from levyfock import (
     moments_from_cumulants,
     stieltjes,
 )
+from levyfock import moments
 from levyfock.moments import _orthogonal_norms
 
 from conftest import (
@@ -292,6 +293,29 @@ class TestChaosOracle:
             levy = [measure.levy_moment(p) for p in range(2, 2 * level + 1)]
             want = [float(w) for w in chaos_weights_exact(grid.weights, levy, level)]
             assert model._chaos_weights(level).tolist() == want, level
+
+    def test_norms_eliminated_once_to_the_checked_level(self, monkeypatch):
+        # after check_level(6) each point's Hankel elimination runs once, to
+        # degree 6, and every lower level's weights keep the bits of the
+        # exact weights rounded once
+        rng = np.random.default_rng(37)
+        measure = random_measure(rng, 5)
+        grid = GridSpace((1e-30, rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)))
+        degrees = []
+        norms = moments._orthogonal_norms
+
+        def recorded(sigma, levy, degree):
+            degrees.append(degree)
+            return norms(sigma, levy, degree)
+
+        monkeypatch.setattr(moments, "_orthogonal_norms", recorded)
+        model = CumulantModel(measure, grid)
+        model.check_level(6)
+        for level in range(7):
+            levy = [measure.levy_moment(p) for p in range(2, 2 * level + 1)]
+            want = [float(w).hex() for w in chaos_weights_exact(grid.weights, levy, level)]
+            assert [w.hex() for w in model._chaos_weights(level).tolist()] == want, level
+        assert degrees == [6, 6, 6]
 
     def test_models_on_one_grid_keep_their_own_moments(self, nu2, nup):
         # two measures on the same grid, queried alternately: each model must
