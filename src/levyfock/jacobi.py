@@ -1,14 +1,15 @@
-"""Creation, neutral, and annihilation parts of the field operator.
+"""The field operator: the sum of its creation, neutral and annihilation parts.
 
 The field operator represents multiplication by the pairing with a test
-function, carried over to the truncated extended Fock space.  Only two
-arrays describe it: the annihilation part, as coalesced ``(row, column,
-value)`` triplets over the space's flat layout with exact zeros dropped,
-and the neutral part's diagonal.  The creation part is the pairing
-adjoint of the annihilation part, so its entries are derived from the
-annihilation triplets wherever they are used, never stored.  For every
-target block the contributing source blocks follow from single-part
-shifts:
+function, carried over to the truncated extended Fock space.
+:class:`FieldOperator` holds it as the annihilation part's coalesced
+``(row, column, value)`` triplets over the space's flat layout, exact
+zeros dropped, and the neutral part's diagonal.  The parts are array
+builders: :func:`annihilation` returns the triplets, :func:`neutral` the
+diagonal, and :func:`creation` the values of the triplets' transposes,
+the pairing adjoint, derived wherever they are used and never stored.
+For every target block the contributing source blocks follow from
+single-part shifts:
 
 * creation reads, for each part size k of the target, the source block
   with that part demoted by one (dropped entirely for singletons), and
@@ -73,43 +74,26 @@ __all__ = [
 ]
 
 
-# The kinds whose action includes the creation part and the annihilation part.
-_RAISING = ("creation", "full")
-_LOWERING = ("annihilation", "full")
-
-
 @dataclass
 class FieldOperator:
-    """The field operator on a truncated extended Fock space, or one of its parts.
+    """The field operator of one test function on a truncated extended Fock space.
 
     ``rows``, ``cols`` and ``vals`` hold the annihilation part: entry
     ``vals[i]`` maps flat position ``cols[i]`` (level n) to flat position
     ``rows[i]`` (level n - 1); no (row, column) pair repeats and no value
     is zero.  ``diag`` holds the neutral part at flat positions
     ``1 .. dim - 1`` (the vacuum's entry is exactly zero), exact zeros
-    included, or is None.  The creation part is never stored: it maps
-    ``rows[i]`` to ``cols[i]`` with the value :func:`creation` documents,
-    derived from ``vals[i]`` where it is used.
-
-    ``kind`` names the parts that act: ``"annihilation"`` and
-    ``"creation"`` read the triplets, ``"neutral"`` reads ``diag`` alone
-    (its triplets are empty), ``"full"`` reads both.
+    included.  The creation part is never stored: it maps ``rows[i]`` to
+    ``cols[i]`` with the value :func:`creation` derives from ``vals[i]``
+    where it is used.
     """
 
-    kind: str
     space: FockSpace
     phi: TestFunction
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    diag: np.ndarray | None = None
-
-    def __post_init__(self):
-        # Copy only to drop an exact zero.  Counting allocates nothing; a
-        # boolean .all() sets up a 128 KB reduction buffer on first use.
-        if np.count_nonzero(self.vals) < len(self.vals):
-            keep = self.vals != 0.0
-            self.rows, self.cols, self.vals = self.rows[keep], self.cols[keep], self.vals[keep]
+    diag: np.ndarray
 
     def apply(self, v: ExtendedFockVector) -> ExtendedFockVector:
         """Matrix-vector product.
@@ -117,20 +101,17 @@ class FieldOperator:
         Each image entry sums, from 0.0 and one term at a time, its
         creation terms in triplet order, then its neutral term (none for an
         exact-zero diagonal entry), then its annihilation terms in triplet
-        order.  Creation images out of the top level are dropped: the
-        truncation has no room for them.
+        order.  Creation images out of the top level are dropped: no
+        creation entry starts there, as no annihilation entry ends there.
         """
         if v.space is not self.space and not self.space.compatible(v.space):
             raise ValueError("dimension mismatch: vector space differs from operator space")
         x, rows, cols = v.values, self.rows, self.cols
         out = np.zeros(self.space.dim)
-        if self.kind in _RAISING:
-            np.add.at(out, cols, _raised(self.space, rows, cols, self.vals) * x[rows])
-        if self.diag is not None:
-            tail = out[1:]
-            np.add(tail, self.diag * x[1:], out=tail, where=self.diag != 0.0)
-        if self.kind in _LOWERING:
-            np.add.at(out, rows, self.vals * x[cols])
+        np.add.at(out, cols, creation(self.space, rows, cols, self.vals) * x[rows])
+        tail = out[1:]
+        np.add(tail, self.diag * x[1:], out=tail, where=self.diag != 0.0)
+        np.add.at(out, rows, self.vals * x[cols])
         return ExtendedFockVector(self.space, out)
 
 
@@ -159,6 +140,21 @@ def _check_size(space: FockSpace) -> None:
             f"operator too large: up to {bound:,} operator entries (about "
             f"{bound * _BYTES_PER_ENTRY / 2**30:.1f} GB) exceed the limit of "
             f"{_ENTRY_LIMIT:,}; lower the depth or the grid size"
+        )
+
+
+def _check_weights(space: FockSpace) -> None:
+    """Refuse representative or pairing weights outside the normal doubles,
+    as the chaos oracle refuses its own: :func:`creation` divides by them."""
+    level, rep = space.flat_weights
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        weights = (rep, level * rep)
+    # min and max, not a boolean .all(): no 128 KB reduction buffer
+    low, high = min(map(np.min, weights)), max(map(np.max, weights))
+    if not (2.0**-1022 <= low and high < math.inf):
+        raise ValueError(
+            f"pairing weights from {low} to {high} leave the normal doubles; "
+            "rescale the grid weights or lower the depth"
         )
 
 
@@ -194,51 +190,38 @@ def _removed(segment: np.ndarray) -> np.ndarray:
     return out
 
 
-def creation(minus: FieldOperator) -> FieldOperator:
-    """Creation part: extension of a level by the test function.
+def creation(space: FockSpace, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Creation part: the values of the transposes of annihilation entries.
 
-    On plainly symmetric inputs this is the symmetrized tensor product
-    with the test function.  That characterization does not determine the
-    action on the diagonal blocks of the extended space, so the entries
-    are assembled as the inner-product adjoint of the annihilation part
-    -- the unique extension for which the two parts pair against each
-    other exactly, at every level of the truncation.  (Wherever no
-    diagonal promotion into an already occupied part can occur, which
-    covers all images up to level three, the adjoint coincides with the
-    symmetrized tensor product on embedded symmetric tensors.)
+    On plainly symmetric inputs creation is the symmetrized tensor product
+    with the test function.  That does not determine the action on the
+    diagonal blocks of the extended space, so creation is the
+    inner-product adjoint of annihilation -- the unique extension for which
+    the two parts pair exactly, at every level of the truncation.
+    (Wherever no diagonal promotion into an already occupied part can
+    occur, which covers all images up to level three, the two coincide on
+    embedded symmetric tensors.)
 
-    An annihilation entry ``m`` from source s to target d becomes
-    ``(c * (m * w_d)) / w_s`` from d to s, with ``c = (d! W_d) / (s! W_s)``
+    Annihilation entry ``m = vals[i]`` from s = ``cols[i]`` to d = ``rows[i]``
+    has the transpose ``(c * (m * w_d)) / w_s``, with ``c = (d! W_d) / (s! W_s)``
     the level-times-block weight ratio and ``w`` the representative
-    weights.  The test function and the space are those of ``minus``, the
-    annihilation part this transposes.  The result keeps ``minus``'s
-    triplet arrays, without a copy, and only reads them the other way
-    round: its entry values are formed where they are used.
+    weights; elementwise, so a slice of the entries gives the bits of the whole.
     """
-    if minus.kind != "annihilation":
-        raise ValueError(f"minus must be an annihilation part, not a {minus.kind} part")
-    return FieldOperator("creation", minus.space, minus.phi, minus.rows, minus.cols, minus.vals)
-
-
-def _raised(space: FockSpace, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Creation values of the annihilation entries ``vals`` from ``cols`` to
-    ``rows``: the expression :func:`creation` documents, elementwise, so a
-    slice of the entries gives the same bits as the whole."""
     level, rep = space.flat_weights
     return level[rows] / level[cols] * (vals * rep[rows]) / rep[cols]
 
 
-def neutral(phi: TestFunction, space: FockSpace) -> FieldOperator:
-    """Neutral part: diagonal multiplication.
+def neutral(phi: TestFunction, space: FockSpace) -> np.ndarray:
+    """Neutral part: diagonal multiplication, returned as its diagonal.
 
     Each representative is scaled by the sum, over part sizes present in
     its block, of the diagonal recurrence coefficient of that size times
     the test-function values on the segment.  Each segment sum is one
     ``math.fsum``, taken once per sorted tuple of grid points and gathered
     by segment rank.  The vacuum has no parts, so its entry is exactly zero
-    and is left out: the diagonal starts at flat position 1.  Only the
-    diagonal is stored; an exact zero in it (a segment whose test-function
-    values cancel) stays, and acts as no entry.
+    and is left out: the diagonal starts at flat position 1.  An exact zero
+    in it (a segment whose test-function values cancel) stays, and acts as
+    no entry.
     """
     _check_phi(phi, space)
     a = space.table.a
@@ -255,12 +238,12 @@ def neutral(phi: TestFunction, space: FockSpace) -> FieldOperator:
             total = total + a[k - 1] * sums[m][ranks[k - 1]]
         where = space.block_slice(level, alpha)
         diag[where.start - 1 : where.stop - 1] = total
-    empty = np.empty(0, np.intp)
-    return FieldOperator("neutral", space, phi, empty, empty, np.empty(0), diag)
+    return diag
 
 
-def annihilation(phi: TestFunction, space: FockSpace) -> FieldOperator:
-    """Annihilation part: grid contraction plus diagonal promotions.
+def annihilation(phi: TestFunction, space: FockSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Annihilation part: grid contraction plus diagonal promotions, returned
+    as the triplets ``(rows, cols, vals)`` of :class:`FieldOperator`.
 
     For a level-(n-1) target block: the contraction term reads the
     source block with one extra singleton, integrating the test function
@@ -280,10 +263,12 @@ def annihilation(phi: TestFunction, space: FockSpace) -> FieldOperator:
     sum over the positions the promoted coordinate can come from, so one
     entry may collect several contributions: promotions of equal
     coordinates of one sorted part.  They are adjacent, and each run is
-    summed in position order starting from 0.0.
+    summed in position order starting from 0.0; entries that sum to an
+    exact zero are dropped.
     """
     _check_phi(phi, space)
     _check_size(space)
+    _check_weights(space)
     b = space.table.b
     size = space.grid.size
     values = np.array(phi.values)
@@ -339,26 +324,23 @@ def annihilation(phi: TestFunction, space: FockSpace) -> FieldOperator:
                 rows.append(np.repeat(dst_rows, m))
                 cols.append(src.compose(src_ranks, lower.shape, src_start).ravel())
                 vals.append(np.bincount(slots, terms, minlength=count * m))
-    return FieldOperator(
-        "annihilation",
-        space,
-        phi,
-        np.concatenate(rows),
-        np.concatenate(cols),
-        np.concatenate(vals),
-    )
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    # Copy only to drop an exact zero.  Counting allocates nothing; a
+    # boolean .all() sets up a 128 KB reduction buffer on first use.
+    if np.count_nonzero(vals) < len(vals):
+        keep = vals != 0.0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return rows, cols, vals
 
 
 def full(phi: TestFunction, space: FockSpace) -> FieldOperator:
     """Sum of the creation, neutral, and annihilation parts.
 
-    Stores the annihilation part's arrays, without a copy, and the
-    neutral part's diagonal: the creation part is their pairing adjoint,
-    derived where it is used (see :class:`FieldOperator`).
+    Holds the annihilation triplets, without a copy, and the neutral
+    diagonal: the creation part is their pairing adjoint, derived where it
+    is used (see :class:`FieldOperator`).
     """
-    minus = annihilation(phi, space)
-    diag = neutral(phi, space).diag
-    return FieldOperator("full", space, phi, minus.rows, minus.cols, minus.vals, diag)
+    return FieldOperator(space, phi, *annihilation(phi, space), neutral(phi, space))
 
 
 def vacuum_moments(phi: TestFunction, space: FockSpace, k_max: int) -> list[float]:
@@ -390,68 +372,49 @@ def vacuum_moments(phi: TestFunction, space: FockSpace, k_max: int) -> list[floa
     return out
 
 
-def _pairing_gap(op: FieldOperator, take: np.ndarray, kind: str, diag: np.ndarray | None) -> float:
-    """Largest pairing gap over the largest pairing, entry by entry.
-
-    Creation entry i transposes annihilation entry i, so the pairings
-    ``w[c] * raised[i]`` and ``w[r] * vals[i]`` meet at one (row, column)
-    pair and at no other entry's: creation raises a level, annihilation
-    lowers one, the diagonal keeps it.  Over the annihilation entries
-    ``take``, a part that ``kind`` leaves out pairs to 0.0; a diagonal
-    pairing p (``diag`` from flat position 1) meets itself, gap p - p.
-    """
-    space = op.space
-    weights = np.multiply(*space.flat_weights)
-    rows, cols, vals = op.rows[take], op.cols[take], op.vals[take]
-    up = weights[cols] * _raised(space, rows, cols, vals) if kind in _RAISING else 0.0
-    down = weights[rows] * vals if kind in _LOWERING else 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are results here
-        pairings, gaps = [up, down], [up - down]
-        if diag is not None:
-            pairings.append(weights[1 : len(diag) + 1] * diag)
-            gaps.append(pairings[-1] - pairings[-1])
-    # np.max, unlike max(), keeps a NaN
-    gap = np.max([np.max(np.abs(g), initial=0.0) for g in gaps])
+def _scaled_gap(gap: np.ndarray, *pairings: np.ndarray) -> float:
+    """Largest ``|gap|`` over the largest ``|pairing|`` (floor 1e-300); np.max keeps a NaN."""
     scale = np.max([np.max(np.abs(p), initial=0.0) for p in pairings])
-    return float(gap) / max(float(scale), 1e-300)
+    return float(np.max(np.abs(gap), initial=0.0)) / max(float(scale), 1e-300)
 
 
-def symmetry_defect(op: FieldOperator) -> float:
-    """Largest scaled asymmetry of the operator's pairing matrix.
+def symmetry_defect(space: FockSpace, diag: np.ndarray) -> float:
+    """Largest scaled asymmetry of the neutral part's pairing matrix.
 
     The pairing of the image of basis vector c with basis vector r is the
-    entry (r, c) times the pairing weight of r.  Pairings are taken over
-    all basis vectors strictly below the truncation level, where no
-    creation image is dropped, so a symmetric operator must give a
-    symmetric matrix up to round-off.  Only the parts ``op`` applies
-    count.  The entries are compared one by one (:func:`_pairing_gap`);
-    as creation is derived from annihilation, an operator built here reads
-    round-off by construction, and a commutator check is the planned
-    replacement.
+    entry (r, c) times the pairing weight of r.  The neutral part ``diag``
+    (a :func:`neutral` diagonal) is diagonal, so each pairing p below the
+    truncation level meets only itself, with gap ``p - p``: this reads an
+    exact zero by construction (NaN for an infinite entry).  A commutator
+    check is the planned replacement.
     """
-    low = op.space.level_start(op.space.depth)
-    diag = None if op.diag is None else op.diag[: low - 1]
-    return _pairing_gap(op, op.cols < low, op.kind, diag)
+    low = space.level_start(space.depth)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are results here
+        pairing = np.multiply(*space.flat_weights)[1:low] * diag[: low - 1]
+        return _scaled_gap(pairing - pairing, pairing)
 
 
-def adjoint_defect(plus: FieldOperator, minus: FieldOperator) -> float:
+def adjoint_defect(
+    space: FockSpace, minus: tuple[np.ndarray, np.ndarray, np.ndarray], plus: np.ndarray
+) -> float:
     """Largest scaled deviation of the annihilation part from the creation adjoint.
 
-    Compares the pairing of a raised basis vector against every other
-    basis vector with the pairing against the lowered one, for all source
-    vectors strictly below the truncation level.  ``plus`` must be
-    ``creation(minus)``, sharing its arrays, so each raised entry is
-    compared with the lowered entry it transposes (:func:`_pairing_gap`);
-    by construction this reads round-off, and a commutator check is the
-    planned replacement.
+    ``minus`` holds the annihilation triplets ``(rows, cols, vals)`` and
+    ``plus`` the creation values of the same entries (:func:`creation`).
+    Creation entry i transposes annihilation entry i, so the pairings
+    ``w[c] * plus[i]`` and ``w[r] * vals[i]`` meet at one (row, column)
+    pair and at no other entry's: creation raises a level, annihilation
+    lowers one.  Every creation source ``r`` is below the truncation
+    level.  As ``plus`` is derived from ``vals``, this reads round-off by
+    construction; a commutator check is the planned replacement.
     """
-    shared = all(
-        getattr(plus, name) is getattr(minus, name) for name in ("space", "rows", "cols", "vals")
-    )
-    if not (plus.kind == "creation" and minus.kind == "annihilation" and shared):
-        raise ValueError("plus must be the creation part of minus")
-    low = minus.space.level_start(minus.space.depth)
-    return _pairing_gap(minus, minus.rows < low, "full", None)
+    rows, cols, vals = minus
+    if len(plus) != len(vals):
+        raise ValueError(f"plus holds {len(plus)} values for {len(vals)} annihilation entries")
+    weights = np.multiply(*space.flat_weights)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are results here
+        up, down = weights[cols] * plus, weights[rows] * vals
+        return _scaled_gap(up - down, up, down)
 
 
 def measure_hash(measure: JumpMeasure) -> str:
@@ -499,7 +462,7 @@ class OperatorExport:
         self.op = op
         self.header = [
             "# levyfock operator export",
-            f"# kind {op.kind}",
+            "# kind full",
             f"# depth {space.depth}",
             f"# table-depth {space.table.depth}",
             f"# grid-points {' '.join(f'x{i}' for i in range(space.grid.size))}",
@@ -514,10 +477,8 @@ class OperatorExport:
         ]
         self._starts = np.array([space.block_slice(*key).start for key in keys] + [space.dim])
         self._block = np.repeat(np.arange(len(keys), dtype=np.int32), np.diff(self._starts))
-        nothing = (np.empty(0, np.intp), [0] * (len(keys) + 1))
-        lowering, raising = op.kind in _LOWERING, op.kind in _RAISING
-        self._down = self._by_source(op.cols, op.rows) if lowering else nothing
-        self._up = self._by_source(op.rows, op.cols) if raising else nothing
+        self._down = self._by_source(op.cols, op.rows)
+        self._up = self._by_source(op.rows, op.cols)
 
     def _by_source(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """Order of the entries from ``src`` to ``dst`` by source block,
@@ -550,14 +511,13 @@ class OperatorExport:
             for lo, hi in _pieces(down_at[b], down_at[b + 1]):
                 take = down[lo:hi]
                 yield self._lines(b, op.cols[take], op.rows[take], op.vals[take])
-            if op.diag is not None:
-                for lo, hi in _pieces(max(starts[b], 1), starts[b + 1]):
-                    nonzero = np.flatnonzero(op.diag[lo - 1 : hi - 1]) + lo
-                    yield self._lines(b, nonzero, nonzero, op.diag[nonzero - 1])
+            for lo, hi in _pieces(max(starts[b], 1), starts[b + 1]):
+                nonzero = np.flatnonzero(op.diag[lo - 1 : hi - 1]) + lo
+                yield self._lines(b, nonzero, nonzero, op.diag[nonzero - 1])
             for lo, hi in _pieces(up_at[b], up_at[b + 1]):
                 take = up[lo:hi]
                 rows, cols = op.rows[take], op.cols[take]
-                vals = _raised(op.space, rows, cols, op.vals[take])
+                vals = creation(op.space, rows, cols, op.vals[take])
                 nonzero = np.flatnonzero(vals)  # an underflow to exactly zero is no entry
                 yield self._lines(b, rows[nonzero], cols[nonzero], vals[nonzero])
 

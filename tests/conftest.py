@@ -16,6 +16,7 @@ import pytest
 
 from levyfock import (
     CumulantModel,
+    ExtendedFockVector,
     FieldOperator,
     FockSpace,
     GridSpace,
@@ -23,8 +24,10 @@ from levyfock import (
     MultiIndex,
     SymmetricTensor,
     TestFunction,
+    annihilation,
     gauss_laguerre_gamma,
     moments_from_cumulants,
+    neutral,
     stieltjes,
 )
 
@@ -306,32 +309,52 @@ def chaos_weights_exact(sigmas, levy, level: int) -> list[Fraction]:
     return weights
 
 
+def _adjoint(space: FockSpace, d: np.ndarray, s: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Creation values of the annihilation entries ``m`` from ``s`` to ``d``,
+    by the documented adjoint formula: ``(c * (m * w_d)) / w_s``, with ``c``
+    the level-weight ratio and ``w`` the representative weights."""
+    level, rep = space.flat_weights
+    c = level[d] / level[s]
+    return (c * (m * rep[d])) / rep[s]
+
+
+def creation_part(phi: TestFunction, space: FockSpace):
+    """``(rows, cols, vals)`` of the creation part: the annihilation
+    builder's triplets transposed, valued by :func:`_adjoint`."""
+    d, s, m = annihilation(phi, space)
+    return s, d, _adjoint(space, d, s, m)
+
+
+def neutral_part(phi: TestFunction, space: FockSpace):
+    """``(rows, cols, vals)`` of the neutral part: the neutral builder's
+    diagonal at flat positions ``1 .. dim - 1``."""
+    positions = np.arange(1, space.dim)
+    return positions, positions, neutral(phi, space)
+
+
+def entries_apply(space: FockSpace, entries, v: ExtendedFockVector) -> ExtendedFockVector:
+    """Image of ``v`` under the entries ``(rows, cols, vals)``: one
+    ``np.bincount``, with no library operator."""
+    rows, cols, vals = entries
+    return ExtendedFockVector(space, np.bincount(rows, vals * v.values[cols], minlength=space.dim))
+
+
 def operator_entries(op: FieldOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(rows, cols, vals)`` of every entry of the full operator ``op``:
-    creation, neutral, annihilation, in that order, exact zeros dropped.
-
-    The creation entries come from the annihilation triplets by the
-    documented adjoint formula, ``(c * (m * w_d)) / w_s`` from d to s for an
-    annihilation entry ``m`` from s to d, with ``c`` the level-weight ratio
-    and ``w`` the representative weights."""
-    level, rep = op.space.flat_weights
+    creation, neutral, annihilation, in that order, exact zeros dropped;
+    the creation entries by :func:`_adjoint`."""
     d, s, m = op.rows, op.cols, op.vals
-    c = level[d] / level[s]
-    parts = [
-        (s, d, (c * (m * rep[d])) / rep[s]),
-        (np.arange(1, op.space.dim), np.arange(1, op.space.dim), op.diag),
-        (d, s, m),
-    ]
+    positions = np.arange(1, op.space.dim)
+    parts = [(s, d, _adjoint(op.space, d, s, m)), (positions, positions, op.diag), (d, s, m)]
     rows, cols, vals = (np.concatenate(arrays) for arrays in zip(*parts))
     keep = vals != 0.0
     return rows[keep], cols[keep], vals[keep]
 
 
 def operator_apply(op: FieldOperator, x: np.ndarray) -> np.ndarray:
-    """The full operator ``op`` applied to ``x``: one ``np.bincount`` over the
-    entries of all three parts, which sums each image entry in entry order."""
-    rows, cols, vals = operator_entries(op)
-    return np.bincount(rows, vals * x[cols], minlength=op.space.dim).astype(float)
+    """The full operator ``op`` applied to ``x``: :func:`entries_apply` over
+    the entries of all three parts, which sums each image entry in entry order."""
+    return entries_apply(op.space, operator_entries(op), ExtendedFockVector(op.space, x)).values
 
 
 def operator_export_entries(op: FieldOperator) -> list[str]:

@@ -35,7 +35,15 @@ from levyfock import (
 )
 from levyfock.moments import chaos_inner_product
 
-from conftest import constant, meixner_annihilation, meixner_neutral, random_measure, symmetric_dim
+from conftest import (
+    constant,
+    entries_apply,
+    meixner_annihilation,
+    meixner_neutral,
+    neutral_part,
+    random_measure,
+    symmetric_dim,
+)
 
 NU2 = JumpMeasure((-1.0, 1.0), (0.5, 0.5))
 NUP = JumpMeasure((1.0,), (1.0,))
@@ -135,8 +143,8 @@ def test_criterion_4_adjointness_and_symmetry():
     phi = TestFunction(grid, tuple(rng.normal(0.0, 1.0, 3)))
     space = FockSpace(grid, measure, stieltjes(measure, 5), 4)
     minus = annihilation(phi, space)
-    pair_defect = adjoint_defect(creation(minus), minus)
-    neutral_defect = symmetry_defect(neutral(phi, space))
+    pair_defect = adjoint_defect(space, minus, creation(space, *minus))
+    neutral_defect = symmetry_defect(space, neutral(phi, space))
     assert pair_defect <= 1e-10
     assert neutral_defect <= 1e-10
     print(
@@ -155,21 +163,21 @@ def test_criterion_5_meixner_closed_forms():
         grid = GridSpace(tuple(rng.uniform(0.4, 2.0, grid_size)))
         phi = TestFunction(grid, tuple(rng.normal(0.0, 1.0, grid_size)))
         space = FockSpace(grid, gamma, table, 5)
-        op_neutral = neutral(phi, space)
-        op_minus = annihilation(phi, space)
+        diagonal = neutral_part(phi, space)
+        minus = annihilation(phi, space)
         for n in range(5):
             for idx in range(symmetric_dim(n, grid)):
                 f = SymmetricTensor.basis_element(grid, n, idx)
                 embedded = space.embed_symmetric(f)
 
-                got = op_neutral.apply(embedded)
+                got = entries_apply(space, diagonal, embedded)
                 want = space.embed_symmetric(meixner_neutral(phi, f, lam))
                 scale = max(1.0, np.abs(want.values).max())
                 for alpha in space.blocks(n):
                     assert np.abs(got[n, alpha] - want[n, alpha]).max() <= 1e-8 * scale
 
                 if n >= 1:
-                    got = op_minus.apply(embedded)
+                    got = entries_apply(space, minus, embedded)
                     want = space.embed_symmetric(meixner_annihilation(phi, f, kappa, mass))
                     scale = max(1.0, np.abs(want.values).max())
                     for alpha in space.blocks(n - 1):

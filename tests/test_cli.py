@@ -280,6 +280,17 @@ class TestOracleCheckCommand:
         assert out == ""
         assert f"oracle level 2: a weight rounds to {rounded}, out of range" in err
 
+    def test_one_oracle_call_per_basis_tensor(self, tmp_path, capsys, monkeypatch):
+        # the oracle is diagonal on monomials: each tensor's own norm is
+        # asked for once, and every pair is still compared
+        calls = _counting(monkeypatch, [cli], "chaos_inner_product")
+        path = write(tmp_path, "multi.cfg", MULTI_POINT_CFG)
+        assert main(["oracle-check", "--config", path]) == 0
+        assert "pairs 28" in capsys.readouterr().out  # 1 + 6 + 21
+        assert [(f.level, f is g) for f, g, _model, _n in calls] == (
+            [(0, True)] + [(1, True)] * 3 + [(2, True)] * 6
+        )
+
     def test_tiny_point_checked_at_its_own_scale(self, tmp_path, capsys, monkeypatch):
         # grid weights 1e-300 and 1: every pairing that touches point 0 is
         # near 1e-300, so an error divided by max(1, |oracle|) passed a block
@@ -303,6 +314,34 @@ class TestOracleCheckCommand:
         for level in (1, 2):
             assert float(errors[f"level{level}.max-rel-error"]) == pytest.approx(0.5, rel=1e-12)
         assert "status fail" in out
+
+
+# building the block bases overflows first (a numpy RuntimeWarning)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "weights",
+    ["1e300 1.0", "1e-200 1.0", "1e-160 1.0"],
+    ids=["overflow", "underflow", "subnormal"],
+)
+@pytest.mark.parametrize(
+    "command,run",
+    [
+        ("verify-moments", ""),
+        ("verify-moments", "max_moment 2\ncheck_symmetry 1\n"),
+        ("export-operator", ""),
+    ],
+    ids=["moments", "defects", "export"],
+)
+def test_operator_weight_outside_the_doubles_exits_2(tmp_path, capsys, weights, command, run):
+    # depth 4: point 0's level-2 representative weight, 1e600, 1e-400 or
+    # 1e-320, is no normal double, and creation divides by it; with
+    # max_moment 2 the moments stop at level 1 and the defect space refuses
+    cfg = TWO_POINT_CFG.replace("weights 0.8 1.4", f"weights {weights}") + run
+    path = write(tmp_path, "range.cfg", cfg)
+    assert main([command, "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "weights from" in err and "leave the normal doubles" in err
 
 
 class TestExportCommand:
@@ -854,9 +893,9 @@ class TestNanVerdicts:
         build = getattr(cli, part)
 
         def with_inf(*args):
-            op = build(*args)
-            getattr(op, where)[0] = math.inf  # level 0 to 1, or flat position 1
-            return op
+            built = build(*args)  # the triplets, or the diagonal
+            (built[2] if where == "vals" else built)[0] = math.inf  # level 0 to 1, or position 1
+            return built
 
         monkeypatch.setattr(cli, part, with_inf)
         path = write(tmp_path, "sym.cfg", TWO_POINT_CFG + "check_symmetry 1\n")

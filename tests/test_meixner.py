@@ -14,15 +14,16 @@ from levyfock import (
     TestFunction,
     annihilation,
     detect,
-    neutral,
     stieltjes,
 )
 from levyfock.meixner import GAMMA_TYPE, MEIXNER_TYPE, PASCAL_TYPE
 
 from conftest import (
     constant,
+    entries_apply,
     meixner_annihilation,
     meixner_neutral,
+    neutral_part,
     sym_at,
     symmetric_dim,
     symmetric_from,
@@ -166,14 +167,14 @@ def test_closed_forms_match_general_assembler(gamma40, grid_weights):
     space = FockSpace(grid, gamma40, table, 5)
     phi = TestFunction(grid, tuple(0.8 - 0.5 * i for i in range(grid.size)))
     lam, kappa, mass = 2.0, 1.0, gamma40.total_mass()
-    op_neutral = neutral(phi, space)
-    op_minus = annihilation(phi, space)
+    diagonal = neutral_part(phi, space)
+    minus = annihilation(phi, space)
     rng = np.random.default_rng(17)
     for n in range(0, 5):
         f = SymmetricTensor(grid, n, rng.normal(0, 1, symmetric_dim(n, grid)))
         embedded = space.embed_symmetric(f)
 
-        got = op_neutral.apply(embedded)
+        got = entries_apply(space, diagonal, embedded)
         want = space.embed_symmetric(meixner_neutral(phi, f, lam))
         scale = max(1.0, np.abs(want.values).max())
         for alpha in space.blocks(n):
@@ -181,7 +182,7 @@ def test_closed_forms_match_general_assembler(gamma40, grid_weights):
             assert deviation <= 1e-8 * scale
 
         if n >= 1:
-            got = op_minus.apply(embedded)
+            got = entries_apply(space, minus, embedded)
             want = space.embed_symmetric(meixner_annihilation(phi, f, kappa, mass))
             scale = max(1.0, np.abs(want.values).max())
             for alpha in space.blocks(n - 1):
