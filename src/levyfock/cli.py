@@ -378,9 +378,15 @@ def cmd_oracle_check(cfg: RunConfig, report: Report) -> int:
     raise ``oracle_levels`` only within the validity domain of the
     measure at hand.  A top level the exact oracle cannot finish is
     refused before anything is built (:meth:`CumulantModel.check_level`).
-    A pair's error is ``|block - oracle|`` over the oracle norms of its two
-    tensors, ``sqrt(o_ii) * sqrt(o_jj)``, the Cauchy-Schwarz bound of the
-    oracle value: a grid point of tiny weight is checked at its own scale.
+    Both sides are diagonal on the basis tensors: the oracle is diagonal on
+    monomials, and :meth:`FockSpace.embed_symmetric` is a gather, so two
+    distinct one-hot tensors share no nonzero position and pair to an exact
+    0.0 under the block formula too.  Each tensor is therefore paired only
+    with itself, one at a time; ``pairs`` counts the ``dim * (dim + 1) / 2``
+    Gram entries per level the check covers, the off-diagonal ones exact
+    zeros on both sides.  A tensor's error is ``|block - oracle|`` over
+    ``sqrt(o_ii) * sqrt(o_ii)``, the Cauchy-Schwarz bound of the oracle
+    value: a grid point of tiny weight is checked at its own scale.
     """
     measure, grid = cfg.measure(), cfg.grid()
     model = CumulantModel(measure, grid)
@@ -394,18 +400,17 @@ def cmd_oracle_check(cfg: RunConfig, report: Report) -> int:
     pairs = 0
     for n in range(cfg.oracle_levels + 1):
         dim = space.basis(MultiIndex((n,))).dim
-        tensors = [SymmetricTensor.basis_element(grid, n, i) for i in range(dim)]
-        embedded = [space.embed_symmetric(f) for f in tensors]
-        norms = [chaos_inner_product(f, f, model, n) for f in tensors]
-        root = [math.sqrt(norm) for norm in norms]
         errors = []
         for i in range(dim):
-            for j in range(i, dim):
-                oracle_value = norms[i] if i == j else 0.0
-                block_value = level_inner_product(embedded[i], embedded[j], n)
-                scale = root[i] * root[j]  # a zero or NaN norm cannot scale: NaN, which fails
-                errors.append(abs(block_value - oracle_value) / scale if scale > 0.0 else math.nan)
-        pairs += len(errors)
+            f = SymmetricTensor.basis_element(grid, n, i)
+            norm = chaos_inner_product(f, f, model, n)
+            e = space.embed_symmetric(f)
+            block = level_inner_product(e, e, n)
+            root = math.sqrt(norm)
+            scale = root * root  # a zero or NaN norm cannot scale: NaN, which fails
+            errors.append(abs(block - norm) / scale if scale > 0.0 else math.nan)
+            del f, e  # one embedded vector at a time
+        pairs += dim * (dim + 1) // 2
         level_worst.append(float(np.max(errors)))  # unlike max(), np.max keeps a NaN
         report.add(f"level{n}.max-rel-error", level_worst[-1])
     worst_overall = float(np.max(level_worst))

@@ -158,17 +158,26 @@ def block_weight(alpha: MultiIndex, table: RecurrenceTable) -> float:
 
     The multinomial count of the parts times, for every part of size k,
     the squared norm of the degree-(k-1) monic polynomial divided by the
-    squared factorial of k.
+    squared factorial of k.  A weight beyond the largest double is
+    refused; one that underflows to 0.0 is kept.
     """
     if alpha.max_part > table.depth:
         raise ValueError(
             f"recurrence table of depth {table.depth} too shallow for parts of size "
             f"{alpha.max_part}"
         )
-    weight = float(math.factorial(alpha.degree))
-    for k, m in alpha.parts():
-        weight /= math.factorial(m)
-        weight *= (table.norm_sq[k - 1] / math.factorial(k) ** 2) ** m
+    try:
+        weight = float(math.factorial(alpha.degree))
+        for k, m in alpha.parts():
+            weight /= math.factorial(m)
+            weight *= (table.norm_sq[k - 1] / math.factorial(k) ** 2) ** m
+    except OverflowError:  # a float power or int-to-float conversion
+        weight = math.inf
+    if not math.isfinite(weight):
+        raise ValueError(
+            f"weight of block {alpha.multiplicities} overflows the doubles; "
+            "rescale the measure or lower the depth"
+        )
     return weight
 
 
@@ -250,8 +259,11 @@ def _weight_product(reps: np.ndarray, weights: tuple[float, ...]) -> np.ndarray:
     """Product of the grid weights along each row, left to right."""
     w = np.array(weights)
     sigma = np.ones(len(reps))
-    for j in range(reps.shape[1]):
-        sigma = sigma * w[reps[:, j]]
+    # an overflow to inf is refused where the weights are used: by
+    # jacobi._check_weights and by the chaos oracle's range check
+    with np.errstate(over="ignore"):
+        for j in range(reps.shape[1]):
+            sigma = sigma * w[reps[:, j]]
     return sigma
 
 

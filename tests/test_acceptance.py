@@ -127,7 +127,26 @@ def test_criterion_3_chaos_oracle_equivalence():
                     oracle = chaos_inner_product(fi, fj, model, n)
                     block = level_inner_product(embedded[i], embedded[j], n)
                     assert abs(block - oracle) <= 1e-8 * max(1.0, abs(oracle))
+                    if i != j:  # distinct basis tensors: exact zeros on both sides
+                        assert block == 0.0 and oracle == 0.0
                     checked += 1
+    # off the diagonal the zeros hold at every level, also at level 4, the
+    # first where two representatives of one block embed onto one tensor
+    grid = GridSpace((0.7, 1.1, 1.3))
+    for measure in (NU2, NUP):
+        space = FockSpace(grid, measure, stieltjes(measure, measure.atom_count), 4)
+        model = CumulantModel(measure, grid)
+        for n in range(5):
+            tensors = [
+                SymmetricTensor.basis_element(grid, n, i) for i in range(symmetric_dim(n, grid))
+            ]
+            embedded = [space.embed_symmetric(f) for f in tensors]
+            for i, fi in enumerate(tensors):
+                for j, fj in enumerate(tensors):
+                    if i != j:
+                        assert chaos_inner_product(fi, fj, model, n) == 0.0
+                        assert level_inner_product(embedded[i], embedded[j], n) == 0.0
+                        checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     print(

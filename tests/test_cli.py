@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -257,8 +258,6 @@ class TestOracleCheckCommand:
         assert "oracle level 30 exceeds the limit of 20" in result.stderr
         assert result.stdout == ""
 
-    # the block side overflows too (a numpy RuntimeWarning) before the oracle refuses
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize(
         "weights, rounded",
         [("1e300 1.0", "inf"), ("1e-300 1.0", "0.0"), ("1e-160 1.0", "1e-320")],
@@ -281,15 +280,34 @@ class TestOracleCheckCommand:
         assert f"oracle level 2: a weight rounds to {rounded}, out of range" in err
 
     def test_one_oracle_call_per_basis_tensor(self, tmp_path, capsys, monkeypatch):
-        # the oracle is diagonal on monomials: each tensor's own norm is
-        # asked for once, and every pair is still compared
+        # both sides are diagonal on the basis tensors: each tensor's own
+        # oracle norm and block pairing are asked for once, and every pair
+        # is still counted
         calls = _counting(monkeypatch, [cli], "chaos_inner_product")
+        blocks = _counting(monkeypatch, [cli], "level_inner_product")
         path = write(tmp_path, "multi.cfg", MULTI_POINT_CFG)
         assert main(["oracle-check", "--config", path]) == 0
         assert "pairs 28" in capsys.readouterr().out  # 1 + 6 + 21
-        assert [(f.level, f is g) for f, g, _model, _n in calls] == (
-            [(0, True)] + [(1, True)] * 3 + [(2, True)] * 6
+        levels = [(0, True)] + [(1, True)] * 3 + [(2, True)] * 6
+        assert [(f.level, f is g) for f, g, _model, _n in calls] == levels
+        assert [(n, f is g) for f, g, n in blocks] == levels
+
+    def test_holds_one_embedded_vector_at_a_time(self, tmp_path, capsys):
+        # 30 grid points, level 2: 465 basis tensors; keeping every embedded
+        # vector and every pairing of a level peaked near 8 MB
+        cfg = (
+            MULTI_POINT_CFG.replace("weights 0.7 1.1 1.3", "weights " + " ".join(["0.9"] * 30))
+            .replace("values 0.9 -0.4 1.2", "values " + " ".join(["0.5"] * 30))
         )
+        path = write(tmp_path, "wide.cfg", cfg)
+        tracemalloc.start()
+        try:
+            assert main(["oracle-check", "--config", path]) == 0
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "pairs 108811" in capsys.readouterr().out  # 1 + 465 + 108345
+        assert peak < 1_000_000
 
     def test_tiny_point_checked_at_its_own_scale(self, tmp_path, capsys, monkeypatch):
         # grid weights 1e-300 and 1: every pairing that touches point 0 is
@@ -316,8 +334,6 @@ class TestOracleCheckCommand:
         assert "status fail" in out
 
 
-# building the block bases overflows first (a numpy RuntimeWarning)
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "weights",
     ["1e300 1.0", "1e-200 1.0", "1e-160 1.0"],
@@ -342,6 +358,42 @@ def test_operator_weight_outside_the_doubles_exits_2(tmp_path, capsys, weights, 
     out, err = capsys.readouterr()
     assert out == ""
     assert "weights from" in err and "leave the normal doubles" in err
+
+
+def test_weight_overflow_refused_with_one_error_line(tmp_path):
+    # the representative weight 1e600 overflows while the block bases are
+    # built; the refusal is the only line on stderr, with no numpy warning
+    cfg = TWO_POINT_CFG.replace("weights 0.8 1.4", "weights 1e300 1.0")
+    path = write(tmp_path, "range.cfg", cfg)
+    src = str(Path(levyfock.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "levyfock.cli", "verify-moments", "--config", path],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: pairing weights from")
+
+
+@pytest.mark.parametrize("command", ["oracle-check", "export-operator"])
+def test_block_weight_overflow_exits_2(tmp_path, capsys, command):
+    # atom weights 1e160: the level-2 block (2,) weighs 2!/2! * (3e160)**2,
+    # past the largest double; it is refused, not raised as an OverflowError
+    cfg = (
+        MULTI_POINT_CFG.replace("weights 0.6 0.9 0.4", "weights 1e160 1e160 1e160")
+        .replace("weights 0.7 1.1 1.3", "weights 1e-100 1.0")
+        .replace("values 0.9 -0.4 1.2", "values 0.9 -0.4")
+    )
+    path = write(tmp_path, "heavy.cfg", cfg)
+    assert main([command, "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "weight of block (2,) overflows the doubles" in err
 
 
 class TestExportCommand:
