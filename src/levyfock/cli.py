@@ -440,12 +440,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tol", type=float, default=None, help="override the tolerance")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     parser.add_argument(
-        "--json", action="store_true", help="append a machine-readable JSON block"
+        "--json",
+        action="store_true",
+        help="append a machine-readable JSON block (not with export-operator)",
     )
     args = parser.parse_args(argv)
 
     report = Report()
     try:
+        if args.json and args.command == "export-operator":
+            # a json line would break the export's 7-field entry lines
+            raise ValueError("--json applies to the report commands, not to export-operator")
         cfg = load_config(args.config)
         if args.tol is not None:
             cfg.tolerance = _tolerance(args.tol)

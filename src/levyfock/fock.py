@@ -11,9 +11,10 @@ the full tuple sums through permutation counts.
 A vector of the space is one flat array: blocks follow each other in
 level order, each level's blocks in reverse-lexicographic multiplicity
 order, and each block holds its representatives in lexicographic tuple
-order.  The space owns that layout, one slice per block, and sizes the
-slices from the closed-form block dimensions, so building it enumerates
-no representative.  It also owns the pairing: one weight per flat
+order.  The space owns that layout, one slice per block.  It counts the
+blocks, their closed-form dimensions and the operator's entry bound before
+listing any block, so an oversize space costs no enumeration to refuse.
+It also owns the pairing: one weight per flat
 position, built on first use and read by every inner product, defect
 and the creation transpose; spaces on one grid and table share the
 layout of their common levels.  A block basis holds its representatives
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
@@ -121,36 +121,31 @@ class MultiIndex:
         return MultiIndex(tuple(mults))
 
 
-def _partition_parts(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+def _multiplicities(n: int, k: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Multiplicities ``(m_k, m_k+1, ...)``, trailing zeros trimmed, of the
+    partitions of ``n`` into parts ``k .. cap``, descending lexicographically."""
     if n == 0:
         yield ()
         return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partition_parts(n - first, first):
-            yield (first,) + rest
+    if k > min(n, cap):
+        return
+    for m in range(n // k, -1, -1):
+        for rest in _multiplicities(n - m * k, k + 1, cap):
+            yield (m,) + rest
 
 
 @lru_cache(maxsize=None)
 def partitions(n: int, max_part: int | None = None) -> tuple[MultiIndex, ...]:
     """All multi-indices of degree ``n``, largest part capped if requested.
 
-    Ordered reverse-lexicographically on the multiplicity vectors, so the
-    all-singletons index comes first and the single-large-part index last.
+    Generated in descending lexicographic order of the multiplicity
+    vectors, the layout order: the all-singletons index comes first and the
+    single-large-part index last.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    cap = n if max_part is None else min(max_part, n)
-    if n == 0:
-        return (MultiIndex(()),)
-    if cap < 1:
-        return ()
-    found = []
-    for parts in _partition_parts(n, cap):
-        counts = Counter(parts)
-        mults = tuple(counts.get(k, 0) for k in range(1, max(parts) + 1))
-        found.append(MultiIndex(mults))
-    found.sort(key=lambda a: a.multiplicities + (0,) * (n - a.max_part), reverse=True)
-    return tuple(found)
+    cap = n if max_part is None else max_part
+    return tuple(MultiIndex(mults) for mults in _multiplicities(n, 1, cap))
 
 
 def block_weight(alpha: MultiIndex, table: RecurrenceTable) -> float:
@@ -281,7 +276,6 @@ class BlockBasis:
     """
 
     alpha: MultiIndex
-    grid: GridSpace
     reps: np.ndarray
     weight: np.ndarray
     offsets: tuple[tuple[int, int], ...]  # (start, stop) per part size, 1-based list
@@ -309,12 +303,6 @@ class BlockBasis:
                 index += rank * stride
         return index
 
-    def rank(self, tuples: np.ndarray) -> np.ndarray:
-        """Positions of tuples given one per row, sorted within each segment."""
-        size = self.grid.size
-        ranks = [segment_rank(tuples[:, start:stop], size) for start, stop in self.offsets]
-        return self.compose(ranks, len(tuples))
-
 
 def block_basis(alpha: MultiIndex, grid: GridSpace) -> BlockBasis:
     offsets = []
@@ -330,7 +318,6 @@ def block_basis(alpha: MultiIndex, grid: GridSpace) -> BlockBasis:
         reps[:, start:stop] = segment[rank]
     return BlockBasis(
         alpha=alpha,
-        grid=grid,
         reps=reps,
         weight=_multiplicity(reps, offsets, grid.size) * _weight_product(reps, grid.weights),
         offsets=tuple(offsets),
@@ -375,6 +362,54 @@ def _sort_rows(rows: np.ndarray) -> None:
         lo[:], hi[:] = np.minimum(lo, hi), np.maximum(lo, hi)
 
 
+# The size cap.  An export adds 43 bytes of peak RSS per exported entry at
+# G = 24 and 32, depth 4, so the entry limit holds a run near 0.9 GB.  A block
+# adds about 5 kB whatever its dimension (4.6 kB at depth 24, 5.4 kB at depth
+# 38 on one grid point); entries and blocks together are held to 0.9 GB.
+_ENTRY_LIMIT = 20_000_000
+_BYTES_PER_ENTRY = 48
+_BYTES_PER_BLOCK = 5_000
+
+
+def _count(size: int, depth: int, max_part: int) -> tuple[int, int, int]:
+    """Block count, dimension and entry bound of a space, listing no block:
+    part size k at multiplicity m multiplies a block's dimension by
+    ``C(G + m - 1, m)`` and adds m to its size, so the per-level sums grow
+    one part size at a time, levels downwards to read those without it."""
+    blocks, dims, sizes = [1] + [0] * depth, [1] + [0] * depth, [0] * (depth + 1)
+    for k in range(1, min(max_part, depth) + 1):
+        choose = [math.comb(size + m - 1, m) for m in range(depth // k + 1)]
+        for n in range(depth, k - 1, -1):
+            for m in range(1, n // k + 1):
+                below, c = n - k * m, choose[m]
+                blocks[n] += blocks[below]
+                dims[n] += c * dims[below]
+                sizes[n] += c * (sizes[below] + m * dims[below])
+    dim = sum(dims)
+    return sum(blocks), dim, dim + 2 * sum(size * dims[n] + sizes[n] for n in range(depth))
+
+
+def _check_size(bound: int, blocks: int) -> None:
+    try:
+        entry_gb = bound * _BYTES_PER_ENTRY / 2**30
+    except OverflowError:  # a bound beyond the doubles: exact count, no estimate
+        entry_gb = math.inf
+    cap_gb = _ENTRY_LIMIT * _BYTES_PER_ENTRY / 2**30
+    total_gb = entry_gb + blocks * _BYTES_PER_BLOCK / 2**30
+    if bound > _ENTRY_LIMIT:
+        excess = f"(about {entry_gb:.1f} GB) exceed the limit of {_ENTRY_LIMIT:,}"
+    elif total_gb > cap_gb:
+        excess = (
+            f"in {blocks:,} blocks (about {total_gb:.1f} GB) exceed the limit of {cap_gb:.1f} GB"
+        )
+    else:
+        return
+    raise ValueError(
+        f"operator too large: up to {bound:,} operator entries {excess}; "
+        "lower the depth or the grid size"
+    )
+
+
 class FockSpace:
     """Truncated extended Fock space over a grid, a measure, and its table.
 
@@ -387,7 +422,9 @@ class FockSpace:
 
     The flat layout gives every block a slice of length
     ``prod_k C(G + m_k - 1, m_k)`` over its multiplicities ``m_k`` (G grid
-    points): one sorted tuple of grid points per part size.
+    points): one sorted tuple of grid points per part size.  Their sums and
+    the block count are counted before any block is listed, and a space
+    whose operator would exceed the size cap raises ``ValueError`` there.
     """
 
     def __init__(
@@ -410,6 +447,8 @@ class FockSpace:
         self.depth = depth
         self.max_part = table.depth
         self.mass = table.norm_sq[0]
+        blocks, self.dim, self._entry_bound = _count(grid.size, depth, self.max_part)
+        _check_size(self._entry_bound, blocks)
         self._blocks = {
             n: partitions(n, max_part=self.max_part) for n in range(depth + 1)
         }
@@ -424,7 +463,6 @@ class FockSpace:
             start = stop
             stop += math.prod(_symmetric_dim(grid, m) for m in key[1].multiplicities)
             self._slices[key] = slice(start, stop)
-        self.dim = stop
         self._bases: dict[MultiIndex, BlockBasis] = {}
 
     def blocks(self, n: int) -> tuple[MultiIndex, ...]:
@@ -478,19 +516,12 @@ class FockSpace:
     def entry_bound(self) -> int:
         """Upper bound on the entries of the full field operator, as exported.
 
-        Closed form, with no enumeration: an annihilation row in block
-        beta below the top level holds at most G grid contractions plus
-        ``size(beta)`` promotions, creation has as many entries as
-        annihilation, and the neutral part is the diagonal.  The operator
-        stores only the annihilation entries and the diagonal, so it holds
-        at most ``(bound + dim) / 2`` of them.
+        ``dim + 2 * sum dim(beta) * (G + size(beta))``: an annihilation row
+        in block beta below the top level holds at most G grid contractions
+        plus ``size(beta)`` promotions, creation as many, and the neutral
+        part is the diagonal.  At most ``(bound + dim) / 2`` are stored.
         """
-        rows = sum(
-            (span.stop - span.start) * (self.grid.size + alpha.size)
-            for (n, alpha), span in self._slices.items()
-            if n < self.depth
-        )
-        return self.dim + 2 * rows
+        return self._entry_bound
 
     def compatible(self, other: FockSpace) -> bool:
         return (
@@ -510,19 +541,19 @@ class FockSpace:
     def embed_symmetric(self, f: SymmetricTensor) -> ExtendedFockVector:
         """Level-``f.level`` vector whose blocks are the diagonal restrictions of
         ``f``: each representative, its part-k coordinates repeated k times, is
-        sorted and ranked in the all-singletons basis."""
+        sorted and ranked in the all-singletons basis, whose single segment
+        makes the position the tuple's segment rank."""
         if f.level > self.depth:
             raise ValueError("tensor level exceeds the truncation depth")
         if f.grid != self.grid:
             raise ValueError("grid mismatch")
         v = self.zero()
-        symmetric = self.basis(MultiIndex((f.level,)))
         for alpha in self.blocks(f.level):
             basis = self.basis(alpha)
             repeats = [k for k, (s, e) in enumerate(basis.offsets, start=1) for _ in range(s, e)]
             expanded = np.repeat(basis.reps, repeats, axis=1)
             _sort_rows(expanded)
-            v[f.level, alpha][:] = f.values[symmetric.rank(expanded)]
+            v[f.level, alpha][:] = f.values[segment_rank(expanded, self.grid.size)]
         return v
 
 

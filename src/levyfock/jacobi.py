@@ -122,26 +122,6 @@ def _check_phi(phi: TestFunction, space: FockSpace) -> None:
 
 _ABOVE = np.iinfo(np.intp).max  # above every grid point
 
-# Refuse an operator whose entry bound exceeds this many entries.  The
-# bound counts the full operator's entries, as exported; about half of them
-# are stored (see FieldOperator).  Assembling and exporting one adds 43 bytes
-# of peak RSS per exported entry at G = 24 and at G = 32, depth 4, over the
-# RSS of the imported program, most of it annihilation's assembly
-# temporaries, so the cap holds a run near 0.9 GB; G = 64 at depth 4 (bound
-# 7,930,129) stays inside it.
-_ENTRY_LIMIT = 20_000_000
-_BYTES_PER_ENTRY = 48
-
-
-def _check_size(space: FockSpace) -> None:
-    bound = space.entry_bound()
-    if bound > _ENTRY_LIMIT:
-        raise ValueError(
-            f"operator too large: up to {bound:,} operator entries (about "
-            f"{bound * _BYTES_PER_ENTRY / 2**30:.1f} GB) exceed the limit of "
-            f"{_ENTRY_LIMIT:,}; lower the depth or the grid size"
-        )
-
 
 def _check_weights(space: FockSpace) -> None:
     """Refuse representative or pairing weights outside the normal doubles,
@@ -267,7 +247,6 @@ def annihilation(phi: TestFunction, space: FockSpace) -> tuple[np.ndarray, np.nd
     exact zero are dropped.
     """
     _check_phi(phi, space)
-    _check_size(space)
     _check_weights(space)
     b = space.table.b
     size = space.grid.size

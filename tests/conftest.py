@@ -88,6 +88,32 @@ def symmetric_dim(level: int, grid: GridSpace) -> int:
     return len(sorted_tuples(grid.size, level))
 
 
+@functools.cache
+def _compositions(n: int) -> list[tuple[int, ...]]:
+    """Every ordered sum of positive parts equal to n, one per set of cuts."""
+    if n == 0:
+        return [()]
+    found = []
+    for r in range(n):
+        for cuts in itertools.combinations(range(1, n), r):
+            bounds = (0, *cuts, n)
+            found.append(tuple(b - a for a, b in zip(bounds, bounds[1:])))
+    return found
+
+
+def partition_multiplicities(n: int, cap: int | None = None) -> list[tuple[int, ...]]:
+    """Every partition of n with parts of at most ``cap``, as a multiplicity
+    vector with trailing zeros trimmed, sorted descending on its zero-padded
+    form: the compositions of n, their parts counted, duplicates dropped."""
+    cap = n if cap is None else cap
+    found = set()
+    for parts in _compositions(n):
+        if all(p <= cap for p in parts):
+            counts = Counter(parts)
+            found.add(tuple(counts[k] for k in range(1, max(parts, default=0) + 1)))
+    return sorted(found, key=lambda mults: mults + (0,) * (n - len(mults)), reverse=True)
+
+
 def arrangements(segment) -> int:
     """Distinct rearrangements of a tuple."""
     count = math.factorial(len(segment))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from levyfock import fock
+from levyfock import GridSpace, JumpMeasure, fock, stieltjes
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -28,3 +28,20 @@ def test_every_traced_site_exists(tracer):
 def test_shape_reads_exist():
     assert callable(fock.FockSpace.block_keys)
     assert callable(fock.FockSpace.basis)
+
+
+def test_space_lists_blocks_through_partitions(monkeypatch):
+    # the tracer's fock.partitions span times the module attribute, so a
+    # space must reach its blocks through it, once per level
+    calls = []
+    original = fock.partitions
+
+    def counted(*args, **kwargs):
+        calls.append(args + tuple(kwargs.values()))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "partitions", counted)
+    measure = JumpMeasure((-1.0, 0.5, 2.0), (0.6, 0.9, 0.4))
+    space = fock.FockSpace(GridSpace((0.7, 1.1)), measure, stieltjes(measure, 3), 4)
+    assert calls == [(n, 3) for n in range(5)]
+    assert [space.blocks(n) for n in range(5)] == [original(n, 3) for n in range(5)]

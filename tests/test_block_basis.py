@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from levyfock import GridSpace, MultiIndex, SymmetricTensor
-from levyfock.fock import _multiplicity, block_basis, partitions
+from levyfock.fock import _multiplicity, block_basis, partitions, segment_rank
 
 from conftest import (
     alpha_id,
@@ -55,7 +55,8 @@ def test_matches_reference(alpha, grid):
     assert basis.reps.shape == (len(reps), alpha.size)
     assert basis.weight.tobytes() == (mult * sigma).tobytes()
     assert basis.dim == len(reps)
-    assert np.array_equal(basis.rank(basis.reps), np.arange(basis.dim))
+    ranks = [segment_rank(basis.reps[:, s:e], grid.size) for s, e in basis.offsets]
+    assert np.array_equal(basis.compose(ranks, basis.dim), np.arange(basis.dim))
     composed = basis.compose(basis.segment_ranks(), basis.dim)
     assert np.array_equal(composed, np.arange(basis.dim))
 

@@ -547,8 +547,12 @@ PINNED_REPORTS = [
 def test_report_bytes_pinned(tmp_path, command, cfg, digest):
     cfg_path = write(tmp_path, "run.cfg", cfg)
     out = tmp_path / "report.txt"
-    assert main([command, "--config", cfg_path, "--json", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    # the export digests cover the export and the "json {}" line --json once
+    # appended to it; --json is refused on an export now, so that line is
+    # appended here and the export bytes are checked against the same digest
+    flags, trailer = ([], b"json {}\n") if command == "export-operator" else (["--json"], b"")
+    assert main([command, "--config", cfg_path, *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes() + trailer).hexdigest() == digest
 
 
 @pytest.mark.parametrize("index", [0, 8, 10])
@@ -584,18 +588,31 @@ def test_entry_bound_covers_pinned_exports(tmp_path, cfg):
 
 @pytest.mark.parametrize("with_json", [False, True])
 def test_stdout_matches_out_file(tmp_path, capsys, with_json):
+    # --json is refused on an export: both runs exit 2 and write nothing
     path = write(tmp_path, "two.cfg", TWO_POINT_CFG)
     out = tmp_path / "operator.txt"
-    flags = ["--json"] if with_json else []
-    assert main(["export-operator", "--config", path, *flags]) == 0
+    flags, code = (["--json"], 2) if with_json else ([], 0)
+    assert main(["export-operator", "--config", path, *flags]) == code
     printed = capsys.readouterr().out
-    assert main(["export-operator", "--config", path, "--out", str(out), *flags]) == 0
+    assert main(["export-operator", "--config", path, "--out", str(out), *flags]) == code
+    if with_json:
+        assert printed == "" and not out.exists()
+        return
     assert printed.encode("utf-8") == out.read_bytes()
     lines = printed.splitlines()
     assert lines[0] == "# levyfock operator export"
-    assert sum(line.startswith("json ") for line in lines) == int(with_json)
-    if with_json:
-        assert lines[-1] == "json {}"
+    assert all(line.startswith("#") or len(line.split()) == 7 for line in lines)
+
+
+def test_json_refused_on_export(tmp_path, capsys):
+    # a json line in an export is neither a header nor a 7-field entry
+    path = write(tmp_path, "two.cfg", TWO_POINT_CFG)
+    assert main(["export-operator", "--config", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: --json applies to the report commands, not to export-operator"
+    ]
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):
@@ -753,7 +770,67 @@ def test_export_peak_per_entry_within_refusal_estimate(tmp_path):
     with open(out, encoding="utf-8") as handle:
         entries = sum(not line.startswith("#") for line in handle)
     assert entries > 200_000
-    assert int(added) / entries <= jacobi._BYTES_PER_ENTRY
+    assert int(added) / entries <= fock._BYTES_PER_ENTRY
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_export_peak_per_block_within_refusal_estimate(tmp_path):
+    # one grid point, gamma-40, depth 24: 7,338 blocks of one representative
+    # each, so the peak is the per-block cost, which the size refusal quotes
+    # as _BYTES_PER_BLOCK; measured, it is 4.6 kB a block here and grows
+    # slowly with the depth, to 5.4 kB at depth 38, the deepest the cap
+    # admits, where the estimate's entry term adds 0.9 kB a block
+    path = write(tmp_path, "deep.cfg", GAMMA_CFG.replace("depth 9", "depth 24"))
+    out = tmp_path / "operator.txt"
+    code, added = _fresh_python(_EXPORT_PEAK_PROBE, path, str(out)).split()
+    assert code == "0"
+    config = load_config(path)
+    blocks = len(cli._operator_space(config, config.depth).block_keys())
+    assert blocks == 7_338
+    assert int(added) / blocks <= fock._BYTES_PER_BLOCK
+
+
+class _Listed(Exception):
+    """Raised where a space would start listing its blocks."""
+
+
+def _refuse_listing(monkeypatch):
+    def listed(*args):
+        raise _Listed(args)
+
+    monkeypatch.setattr(fock, "partitions", listed)
+    monkeypatch.setattr(fock, "block_weight", listed)
+
+
+SIX_ATOM_CFG = TWO_POINT_CFG.replace(
+    "locations -1 1", "locations -1.3 -0.4 0.6 1.1 2.2 3.1"
+).replace("weights 0.5 0.5", "weights 0.7 1.2 0.5 0.9 1.1 0.8")
+
+
+@pytest.mark.parametrize(
+    "cfg,message",
+    [
+        (
+            SIX_ATOM_CFG.replace("depth 4", "depth 60"),
+            "up to 13,527,286,651 operator entries (about 604.7 GB) exceed the limit of 20,000,000",
+        ),
+        (SIX_ATOM_CFG.replace("depth 4", "depth 400"), "exceed the limit of 20,000,000"),
+        (
+            GAMMA_CFG.replace("depth 9", "depth 44"),
+            "up to 9,837,365 operator entries in 451,487 blocks (about 2.5 GB) exceed the "
+            "limit of 0.9 GB",
+        ),
+    ],
+    ids=["G2-depth60", "G2-depth400", "G1-gamma40-depth44"],
+)
+def test_oversize_export_exits_2_before_listing_blocks(tmp_path, monkeypatch, capsys, cfg, message):
+    _refuse_listing(monkeypatch)
+    path, out = write(tmp_path, "big.cfg", cfg), tmp_path / "operator.txt"
+    assert main(["export-operator", "--config", path, "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: operator too large: up to ")
+    assert message in line and line.endswith("; lower the depth or the grid size")
+    assert not out.exists()
 
 
 def _counting(monkeypatch, owners, name):

@@ -21,15 +21,19 @@ from levyfock import (
     partitions,
     stieltjes,
 )
+from levyfock import fock
 from levyfock.fock import ExtendedFockVector, block_basis
 
 from conftest import (
     at,
     block_reps,
     block_symmetrize,
+    partition_multiplicities,
+    random_measure,
     restriction,
     segment_bounds,
     sym_at,
+    symmetric_dim,
     symmetric_from,
 )
 
@@ -91,6 +95,62 @@ class TestPartitions:
         cap = n if max_part is None else max_part
         assert all(a.max_part <= cap or n == 0 for a in found)
         assert len(found) == brute_force_partition_count(n, cap)
+
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_generated_in_layout_order(self, n):
+        for cap in [None, *range(n + 2)]:
+            expected = [MultiIndex(m) for m in partition_multiplicities(n, cap)]
+            assert list(partitions(n, max_part=cap)) == expected
+
+
+class _Listed(Exception):
+    """Raised where a space would start listing its blocks."""
+
+
+class TestClosedFormSize:
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    @pytest.mark.parametrize("atoms", [1, 3, 6])
+    @pytest.mark.parametrize("depth", range(9))
+    def test_matches_sum_over_listed_blocks(self, size, atoms, depth):
+        rng = np.random.default_rng(10 * size + atoms)
+        measure = random_measure(rng, atoms)
+        grid = GridSpace(tuple(rng.uniform(0.5, 1.5, size)))
+        table = stieltjes(measure, max(1, min(depth, atoms)))
+        space = FockSpace(grid, measure, table, depth)
+        listed = {
+            n: [
+                (math.prod(symmetric_dim(m, grid) for m in mults), sum(mults))
+                for mults in partition_multiplicities(n, table.depth)
+            ]
+            for n in range(depth + 1)
+        }
+        dim = sum(d for n in listed for d, _ in listed[n])
+        rows = sum(d * (size + parts) for n in range(depth) for d, parts in listed[n])
+        assert space.dim == dim
+        assert space.entry_bound() == dim + 2 * rows
+        assert len(space.block_keys()) == sum(map(len, listed.values()))
+
+    @pytest.mark.parametrize("depth", [60, 400])
+    def test_oversize_refused_before_listing_blocks(self, monkeypatch, depth):
+        # G = 2, six atoms: the refusal comes from counting alone
+        def listed(*args):
+            raise _Listed(args)
+
+        monkeypatch.setattr(fock, "partitions", listed)
+        monkeypatch.setattr(fock, "block_weight", listed)
+        measure = JumpMeasure((-1.3, -0.4, 0.6, 1.1, 2.2, 3.1), (0.7, 1.2, 0.5, 0.9, 1.1, 0.8))
+        with pytest.raises(ValueError, match="operator too large: up to "):
+            FockSpace(GridSpace((0.8, 1.4)), measure, stieltjes(measure, 6), depth)
+
+
+    def test_bound_beyond_the_doubles_refused(self):
+        # 1,000 grid points at depth 400: a bound of about 10^400 entries is
+        # still refused with its exact count, its size beyond the doubles
+        measure = JumpMeasure((-1.0, 2.0), (0.5, 0.5))
+        grid = GridSpace((1.0,) * 1000)
+        with pytest.raises(ValueError, match=r"operator entries \(about inf GB\) exceed"):
+            FockSpace(grid, measure, stieltjes(measure, 2), 400)
 
 
 class TestBlockWeight:
