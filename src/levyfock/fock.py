@@ -104,13 +104,23 @@ class MultiIndex:
             if m:
                 yield k, m
 
+    @classmethod
+    def _trimmed(cls, mults: list[int]) -> MultiIndex:
+        """Index of nonnegative ints ``mults``, trimmed here and not validated
+        again: the block pairs of an assembly derive thousands of them."""
+        while mults and mults[-1] == 0:
+            mults.pop()
+        index = object.__new__(cls)
+        object.__setattr__(index, "multiplicities", tuple(mults))
+        return index
+
     def raised(self, k: int) -> MultiIndex:
         """Index with one more part of size ``k``."""
         if k < 1:
             raise ValueError("part sizes are 1-based")
         mults = list(self.multiplicities) + [0] * max(0, k - self.max_part)
         mults[k - 1] += 1
-        return MultiIndex(tuple(mults))
+        return MultiIndex._trimmed(mults)
 
     def lowered(self, k: int) -> MultiIndex | None:
         """Index with one fewer part of size ``k``, or None if there is none."""
@@ -118,7 +128,7 @@ class MultiIndex:
             return None
         mults = list(self.multiplicities)
         mults[k - 1] -= 1
-        return MultiIndex(tuple(mults))
+        return MultiIndex._trimmed(mults)
 
 
 def _multiplicities(n: int, k: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -362,13 +372,15 @@ def _sort_rows(rows: np.ndarray) -> None:
         lo[:], hi[:] = np.minimum(lo, hi), np.maximum(lo, hi)
 
 
-# The size cap.  An export adds 43 bytes of peak RSS per exported entry at
-# G = 24 and 32, depth 4, so the entry limit holds a run near 0.9 GB.  A block
-# adds about 5 kB whatever its dimension (4.6 kB at depth 24, 5.4 kB at depth
-# 38 on one grid point); entries and blocks together are held to 0.9 GB.
+# The size cap.  An export adds 36 bytes of peak RSS per exported entry at
+# G = 24 and 32, depth 4, and verify-moments with check_symmetry 38 to 40, so
+# the entry limit holds a run under 0.9 GB.  A block adds 3 to 4 kB whatever
+# its dimension (on one grid point, 3.0 kB at depth 24 and 3.5 kB at depth 36,
+# 0.15 kB more with check_symmetry); entries and blocks together are held to
+# 0.9 GB.
 _ENTRY_LIMIT = 20_000_000
 _BYTES_PER_ENTRY = 48
-_BYTES_PER_BLOCK = 5_000
+_BYTES_PER_BLOCK = 4_000
 
 
 def _count(size: int, depth: int, max_part: int) -> tuple[int, int, int]:

@@ -28,14 +28,18 @@ directly on representative values.  Promotions whose source part size
 exceeds the recurrence table are skipped: they only arise when the table
 exhausts the measure, and then their weight is exactly zero.
 
-Assembly runs block pair by block pair on whole arrays, with no Python
-loop over representatives: a source position is the mixed-radix number
-of its segments' binomial ranks (:meth:`BlockBasis.compose`), so a
-contraction or promotion only recomputes the rank of the one or two
-segments it changes.  The triplets come out in the order of the
-per-representative formulas: level, target block, the contraction and
-then the promotions by ascending part size, representative, then grid
-point or promoted position.
+Assembly first counts the slots of every block pair from the block
+dimensions alone and allocates the triplets once.  It then fills them
+block pair by block pair, in pieces of target rows, with no Python loop
+over representatives: a source position is the mixed-radix number of its
+segments' binomial ranks (:meth:`BlockBasis.compose`), so a contraction
+or promotion only recomputes the rank of the one or two segments it
+changes.  Each piece drops its exact zeros as it is written, and the
+triplets are shrunk in place at the end, so the assembly never holds
+more than the triplets and one piece.  The triplets come out in the
+order of the per-representative formulas: level, target block, the
+contraction and then the promotions by ascending part size,
+representative, then grid point or promoted position.
 """
 from __future__ import annotations
 
@@ -101,17 +105,24 @@ class FieldOperator:
         Each image entry sums, from 0.0 and one term at a time, its
         creation terms in triplet order, then its neutral term (none for an
         exact-zero diagonal entry), then its annihilation terms in triplet
-        order.  Creation images out of the top level are dropped: no
-        creation entry starts there, as no annihilation entry ends there.
+        order.  Each of the three passes runs over pieces of
+        ``_ROW_CHUNK`` entries in order, so no temporary is longer than a
+        piece and the sums are those of one pass.  Creation images out of
+        the top level are dropped: no creation entry starts there, as no
+        annihilation entry ends there.
         """
         if v.space is not self.space and not self.space.compatible(v.space):
             raise ValueError("dimension mismatch: vector space differs from operator space")
-        x, rows, cols = v.values, self.rows, self.cols
+        x, rows, cols, vals, diag = v.values, self.rows, self.cols, self.vals, self.diag
         out = np.zeros(self.space.dim)
-        np.add.at(out, cols, creation(self.space, rows, cols, self.vals) * x[rows])
-        tail = out[1:]
-        np.add(tail, self.diag * x[1:], out=tail, where=self.diag != 0.0)
-        np.add.at(out, rows, self.vals * x[cols])
+        for lo, hi in _pieces(0, len(vals), _ROW_CHUNK):
+            src, dst = rows[lo:hi], cols[lo:hi]
+            np.add.at(out, dst, creation(self.space, src, dst, vals[lo:hi]) * x[src])
+        for lo, hi in _pieces(1, len(out), _ROW_CHUNK):
+            part, scale = out[lo:hi], diag[lo - 1 : hi - 1]
+            np.add(part, scale * x[lo:hi], out=part, where=scale != 0.0)
+        for lo, hi in _pieces(0, len(vals), _ROW_CHUNK):
+            np.add.at(out, rows[lo:hi], vals[lo:hi] * x[cols[lo:hi]])
         return ExtendedFockVector(self.space, out)
 
 
@@ -170,6 +181,37 @@ def _removed(segment: np.ndarray) -> np.ndarray:
     return out
 
 
+# Index cells (target rows x slot width x (target size + 1)) an assembly
+# piece holds, and entries an application piece adds at a time.  At G = 16
+# and 32, D = 4 (six atoms), annihilation's tracemalloc peak is 1.6 and 1.07
+# times its result at 2**13, 2.1 and 1.11 at 2**14, and 3.4 and 1.34 at
+# 2**16; at 2**12 the G = 32 assembly takes 0.04 s, not 0.03 s.
+_ROW_CHUNK = 1 << 13
+
+
+def _pieces(start: int, stop: int, step: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges of at most ``step`` from ``start`` to ``stop``."""
+    for lo in range(start, stop, step):
+        yield lo, min(lo + step, stop)
+
+
+def _run_sums(lower: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
+    """Promotion values for the slots (y, q) of ``lower``'s rows, from the
+    ``terms`` of every slot.
+
+    Equal coordinates of a sorted part promote to one entry.  Each run sums
+    at its first position, in q order from 0.0 as repeated += would; its
+    other positions keep 0.0 and are dropped with the other exact zeros.
+    """
+    count, m = lower.shape
+    runs = np.repeat(np.arange(0, count * m, m), m)  # one run per row
+    if m > 1 and size > 1:  # on one grid point a part is one run
+        starts = np.zeros((count, m), dtype=np.intp)  # q where a run starts, else 0
+        starts[:, 1:] = np.minimum(lower[:, 1:] - lower[:, :-1], 1) * np.arange(1, m)
+        runs += np.maximum.accumulate(starts, axis=1).ravel()  # start of q's run
+    return np.bincount(runs, terms, minlength=count * m)
+
+
 def creation(space: FockSpace, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Creation part: the values of the transposes of annihilation entries.
 
@@ -197,8 +239,8 @@ def neutral(phi: TestFunction, space: FockSpace) -> np.ndarray:
     Each representative is scaled by the sum, over part sizes present in
     its block, of the diagonal recurrence coefficient of that size times
     the test-function values on the segment.  Each segment sum is one
-    ``math.fsum``, taken once per sorted tuple of grid points and gathered
-    by segment rank.  The vacuum has no parts, so its entry is exactly zero
+    ``math.fsum``, taken once per sorted tuple of grid points straight
+    into an array and gathered by segment rank.  The vacuum has no parts, so its entry is exactly zero
     and is left out: the diagonal starts at flat position 1.  An exact zero
     in it (a segment whose test-function values cancel) stays, and acts as
     no entry.
@@ -214,7 +256,8 @@ def neutral(phi: TestFunction, space: FockSpace) -> np.ndarray:
         for k, m in alpha.parts():
             if m not in sums:
                 tuples = itertools.combinations_with_replacement(phi.values, m)
-                sums[m] = np.array([math.fsum(t) for t in tuples])
+                count = math.comb(space.grid.size + m - 1, m)
+                sums[m] = np.fromiter(map(math.fsum, tuples), float, count)
             total = total + a[k - 1] * sums[m][ranks[k - 1]]
         where = space.block_slice(level, alpha)
         diag[where.start - 1 : where.stop - 1] = total
@@ -245,70 +288,77 @@ def annihilation(phi: TestFunction, space: FockSpace) -> tuple[np.ndarray, np.nd
     coordinates of one sorted part.  They are adjacent, and each run is
     summed in position order starting from 0.0; entries that sum to an
     exact zero are dropped.
+
+    The slots (one per target representative and grid point or promoted
+    position) are counted first and allocated once; each block pair is
+    filled in pieces of target rows that hold at most ``_ROW_CHUNK`` index
+    cells, each piece dropping its zeros as it is written, and the arrays
+    are shrunk in place to the entries kept.  They own their data.
     """
     _check_phi(phi, space)
     _check_weights(space)
     b = space.table.b
     size = space.grid.size
     values = np.array(phi.values)
-    rows, cols, vals = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+    # A block pair's slots: its target rows times its width, G for the
+    # contraction (k = 1) and count(k - 1) for promotion k.
+    pairs, slots = [], 0
     for n in range(1, space.depth + 1):
         contraction = n * space.mass * np.array(space.grid.weights) * values
         for dst_alpha in space.blocks(n - 1):
-            dst = space.basis(dst_alpha)
-            dst_start = space.block_slice(n - 1, dst_alpha).start
-            dst_rows = np.arange(dst_start, dst_start + dst.dim)
-            ranks = [
-                r if base == 1 else r[:, None] for r, base in zip(dst.segment_ranks(), dst.radix)
-            ]
-            # contraction: grid point i joins the singletons; rows (y, i)
-            src_alpha = dst_alpha.raised(1)
-            src = space.basis(src_alpha)
-            src_ranks = ranks + [0] * (src_alpha.max_part - len(ranks))
-            if src.radix[0] > 1:  # a single sorted tuple has rank 0
-                singles = _inserted(_part(dst, 1), np.arange(size))
-                src_ranks[0] = segment_rank(singles, size)
-            src_start = space.block_slice(n, src_alpha).start
-            rows.append(np.repeat(dst_rows, size))
-            cols.append(src.compose(src_ranks, (dst.dim, size), src_start).ravel())
-            vals.append(np.repeat(contraction[None, :], dst.dim, axis=0).ravel())
-
+            sources = [(1, size, dst_alpha.raised(1))]
             for k in range(2, dst_alpha.max_part + 2):
-                if dst_alpha.count(k - 1) == 0:
-                    continue
-                src_alpha = dst_alpha.lowered(k - 1).raised(k)
-                if src_alpha.max_part > space.max_part:
-                    continue  # beyond an exhausted table: exactly zero weight
-                # promotion: coordinate q of the size-(k-1) part moves into
-                # the size-k part; rows (y, q)
-                lower = _part(dst, k - 1)
-                src = space.basis(src_alpha)
-                src_ranks = ranks + [0] * (src_alpha.max_part - len(ranks))
-                if src.radix[k - 2] > 1:
-                    src_ranks[k - 2] = segment_rank(_removed(lower), size)
-                if src.radix[k - 1] > 1:
-                    src_ranks[k - 1] = segment_rank(_inserted(_part(dst, k), lower), size)
-                src_start = space.block_slice(n, src_alpha).start
-                # Equal coordinates of a sorted part promote to one entry.
-                # Each run sums at its first position, in q order from 0.0
-                # as repeated += would; its other positions keep 0.0 and are
-                # dropped with the other exact zeros.
-                count, m = lower.shape
-                slots = np.repeat(np.arange(0, count * m, m), m)  # one run per row
-                if m > 1 and size > 1:  # on one grid point a part is one run
-                    starts = np.zeros((count, m), dtype=np.intp)  # q where a run starts, else 0
-                    starts[:, 1:] = np.minimum(lower[:, 1:] - lower[:, :-1], 1) * np.arange(1, m)
-                    slots += np.maximum.accumulate(starts, axis=1).ravel()  # start of q's run
-                terms = (n / k) * b[k - 1] * values[lower].ravel()
-                rows.append(np.repeat(dst_rows, m))
-                cols.append(src.compose(src_ranks, lower.shape, src_start).ravel())
-                vals.append(np.bincount(slots, terms, minlength=count * m))
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    # Copy only to drop an exact zero.  Counting allocates nothing; a
-    # boolean .all() sets up a 128 KB reduction buffer on first use.
-    if np.count_nonzero(vals) < len(vals):
-        keep = vals != 0.0
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+                width = dst_alpha.count(k - 1)
+                if width:
+                    src_alpha = dst_alpha.lowered(k - 1).raised(k)
+                    # beyond an exhausted table: exactly zero weight
+                    if src_alpha.max_part <= space.max_part:
+                        sources.append((k, width, src_alpha))
+            where = space.block_slice(n - 1, dst_alpha)
+            slots += (where.stop - where.start) * sum(source[1] for source in sources)
+            pairs.append((n, contraction, dst_alpha, where.start, sources))
+    rows, cols, vals = np.empty(slots, np.intp), np.empty(slots, np.intp), np.empty(slots)
+    fill = 0
+    for n, contraction, dst_alpha, dst_start, sources in pairs:
+        dst = space.basis(dst_alpha)
+        ranks = [
+            r if base == 1 else r[:, None] for r, base in zip(dst.segment_ranks(), dst.radix)
+        ]
+        targets = np.arange(dst_start, dst_start + dst.dim)
+        for k, width, src_alpha in sources:
+            src = space.basis(src_alpha)
+            src_start = space.block_slice(n, src_alpha).start
+            step = max(1, _ROW_CHUNK // (width * (dst_alpha.size + 1)))
+            for lo, hi in _pieces(0, dst.dim, step):
+                src_ranks = [r if base == 1 else r[lo:hi] for r, base in zip(ranks, dst.radix)]
+                src_ranks += [0] * (src_alpha.max_part - len(ranks))
+                if k == 1:
+                    # contraction: grid point i joins the singletons; slots (y, i)
+                    if src.radix[0] > 1:  # a single sorted tuple has rank 0
+                        singles = _inserted(_part(dst, 1)[lo:hi], np.arange(size))
+                        src_ranks[0] = segment_rank(singles, size)
+                    piece = np.repeat(contraction[None, :], hi - lo, axis=0).ravel()
+                else:
+                    # promotion: coordinate q of the size-(k-1) part moves
+                    # into the size-k part; slots (y, q)
+                    lower = _part(dst, k - 1)[lo:hi]
+                    if src.radix[k - 2] > 1:
+                        src_ranks[k - 2] = segment_rank(_removed(lower), size)
+                    if src.radix[k - 1] > 1:
+                        upper = _part(dst, k)[lo:hi]
+                        src_ranks[k - 1] = segment_rank(_inserted(upper, lower), size)
+                    terms = (n / k) * b[k - 1] * values[lower].ravel()
+                    piece = _run_sums(lower, terms, size)
+                index = src.compose(src_ranks, (hi - lo, width), src_start)
+                # Drop the piece's exact zeros as it is written.
+                kept = piece.nonzero()[0]
+                stop = fill + len(kept)
+                rows[fill:stop] = np.repeat(targets[lo:hi], width)[kept]
+                cols[fill:stop] = index.ravel()[kept]
+                vals[fill:stop] = piece[kept]
+                fill = stop
+    for array in (rows, cols, vals):  # in place: no view of them exists
+        array.resize(fill, refcheck=False)
     return rows, cols, vals
 
 
@@ -410,12 +460,6 @@ def measure_hash(measure: JumpMeasure) -> str:
 _EXPORT_CHUNK = 512
 
 
-def _pieces(start: int, stop: int) -> Iterator[tuple[int, int]]:
-    """Consecutive ranges of at most ``_EXPORT_CHUNK`` from ``start`` to ``stop``."""
-    for lo in range(start, stop, _EXPORT_CHUNK):
-        yield lo, min(lo + _EXPORT_CHUNK, stop)
-
-
 class OperatorExport:
     """Sparse text export of an operator, one line per nonzero entry.
 
@@ -487,13 +531,13 @@ class OperatorExport:
         op, starts = self.op, self._starts
         (down, down_at), (up, up_at) = self._down, self._up
         for b in range(len(self._labels)):
-            for lo, hi in _pieces(down_at[b], down_at[b + 1]):
+            for lo, hi in _pieces(down_at[b], down_at[b + 1], _EXPORT_CHUNK):
                 take = down[lo:hi]
                 yield self._lines(b, op.cols[take], op.rows[take], op.vals[take])
-            for lo, hi in _pieces(max(starts[b], 1), starts[b + 1]):
+            for lo, hi in _pieces(max(starts[b], 1), starts[b + 1], _EXPORT_CHUNK):
                 nonzero = np.flatnonzero(op.diag[lo - 1 : hi - 1]) + lo
                 yield self._lines(b, nonzero, nonzero, op.diag[nonzero - 1])
-            for lo, hi in _pieces(up_at[b], up_at[b + 1]):
+            for lo, hi in _pieces(up_at[b], up_at[b + 1], _EXPORT_CHUNK):
                 take = up[lo:hi]
                 rows, cols = op.rows[take], op.cols[take]
                 vals = creation(op.space, rows, cols, op.vals[take])

@@ -586,6 +586,38 @@ def test_entry_bound_covers_pinned_exports(tmp_path, cfg):
     assert sum(not line.startswith("#") for line in export) <= space.entry_bound()
 
 
+def _assembled_bytes(config) -> list[bytes]:
+    """Triplets, diagonal, two images of each of two vectors, and the vacuum
+    moments of the configuration's operator, as bytes."""
+    space = cli._operator_space(config, config.depth)
+    op = jacobi.full(config.phi(), space)
+    noise = np.random.default_rng(3).normal(size=space.dim)
+    images = []
+    for v in (space.vacuum(), jacobi.ExtendedFockVector(space, noise)):
+        images += [op.apply(v), op.apply(op.apply(v))]
+    moments = jacobi.vacuum_moments(config.phi(), space, 2 * space.depth)
+    arrays = [op.rows, op.cols, op.vals, op.diag, *(v.values for v in images), np.array(moments)]
+    return [array.tobytes() for array in arrays]
+
+
+PIECE_CFGS = {
+    "two-point": TWO_POINT_CFG,
+    "three-point-zero-phi": THREE_POINT_CFG.replace("values 0.9 -0.4 1.2", "values 0.9 0.0 1.2"),
+    "gamma": GAMMA_CFG,
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+@pytest.mark.parametrize("cfg", PIECE_CFGS.values(), ids=PIECE_CFGS.keys())
+def test_pieces_leave_every_bit(tmp_path, monkeypatch, cfg, chunk):
+    # assembly in row chunks and application in entry pieces: every seam
+    # between pieces keeps the triplets, their order and every sum
+    config = load_config(write(tmp_path, "run.cfg", cfg))
+    whole = _assembled_bytes(config)
+    monkeypatch.setattr(jacobi, "_ROW_CHUNK", chunk)
+    assert _assembled_bytes(config) == whole
+
+
 @pytest.mark.parametrize("with_json", [False, True])
 def test_stdout_matches_out_file(tmp_path, capsys, with_json):
     # --json is refused on an export: both runs exit 2 and write nothing
@@ -735,6 +767,27 @@ def test_defect_check_adds_little_peak(tmp_path):
     assert int(added) <= 1024
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_wide_moments_add_little_beyond_the_operator(tmp_path):
+    # G = 32, D = 4, six atoms, moments to order 8: the operator stores
+    # 6.3 MB and the bases about 5 MB.  Per-pair lists, their concatenation
+    # and whole-array application added about 23,400 kB; one preallocation
+    # filled and applied in pieces, about 13,900 kB
+    weights = " ".join(f"{0.5 + i / 32}" for i in range(32))
+    values = " ".join(f"{(-1) ** i * (0.6 + i / 32)}" for i in range(32))
+    cfg = (
+        THREE_POINT_CFG.replace("-1.3 -0.4 0.6 1.1 2.2", "-1.3 -0.4 0.6 1.1 2.2 3.1")
+        .replace("0.7 1.2 0.5 0.9 1.1", "0.7 1.2 0.5 0.9 1.1 0.8")
+        .replace("weights 0.7 1.1 1.3", f"weights {weights}")
+        .replace("values 0.9 -0.4 1.2", f"values {values}")
+        .replace("depth 6\ncheck_symmetry 1", "depth 8\nmax_moment 8")
+    )
+    call = 'levyfock.cli.main(["verify-moments", "--config", sys.argv[1], "--out", sys.argv[2]])'
+    path = write(tmp_path, "wide.cfg", cfg)
+    added = _fresh_python(_PEAK_PROBE.format(call=call), path, str(tmp_path / "report.txt"))
+    assert int(added) <= 18_000
+
+
 # Peak RSS an export adds to the imported program, in bytes; reads /proc.
 _EXPORT_PEAK_PROBE = """\
 import sys
@@ -777,9 +830,10 @@ def test_export_peak_per_entry_within_refusal_estimate(tmp_path):
 def test_export_peak_per_block_within_refusal_estimate(tmp_path):
     # one grid point, gamma-40, depth 24: 7,338 blocks of one representative
     # each, so the peak is the per-block cost, which the size refusal quotes
-    # as _BYTES_PER_BLOCK; measured, it is 4.6 kB a block here and grows
-    # slowly with the depth, to 5.4 kB at depth 38, the deepest the cap
-    # admits, where the estimate's entry term adds 0.9 kB a block
+    # as _BYTES_PER_BLOCK; measured, it is 3.0 kB a block here (4.6 kB with
+    # per-pair assembly lists) and grows slowly with the depth, to 3.4 kB at
+    # depth 34; at depth 39, the deepest the cap admits, the estimate's
+    # entry term adds 0.96 kB a block
     path = write(tmp_path, "deep.cfg", GAMMA_CFG.replace("depth 9", "depth 24"))
     out = tmp_path / "operator.txt"
     code, added = _fresh_python(_EXPORT_PEAK_PROBE, path, str(out)).split()
@@ -817,7 +871,7 @@ SIX_ATOM_CFG = TWO_POINT_CFG.replace(
         (SIX_ATOM_CFG.replace("depth 4", "depth 400"), "exceed the limit of 20,000,000"),
         (
             GAMMA_CFG.replace("depth 9", "depth 44"),
-            "up to 9,837,365 operator entries in 451,487 blocks (about 2.5 GB) exceed the "
+            "up to 9,837,365 operator entries in 451,487 blocks (about 2.1 GB) exceed the "
             "limit of 0.9 GB",
         ),
     ],

@@ -68,6 +68,31 @@ class TestMultiIndex:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             MultiIndex((-1,))
+        with pytest.raises(ValueError):
+            MultiIndex((1, -1))
+
+    @pytest.mark.parametrize("cap", [None, 3])
+    def test_raised_and_lowered_equal_validated_indices(self, cap):
+        # raised and lowered skip the validation pass; their results must
+        # still be the trimmed index the constructor builds, hashing alike
+        for n in range(13):
+            for alpha in partitions(n, max_part=cap):
+                for k in range(1, alpha.max_part + 3):
+                    mults = list(alpha.multiplicities) + [0] * (k + 1)
+                    mults[k - 1] += 1
+                    up = MultiIndex(tuple(mults))
+                    assert alpha.raised(k) == up
+                    assert hash(alpha.raised(k)) == hash(up)
+                    assert alpha.raised(k).multiplicities == up.multiplicities
+                    down = alpha.lowered(k)
+                    if alpha.count(k) == 0:
+                        assert down is None
+                        continue
+                    mults = list(alpha.multiplicities)
+                    mults[k - 1] -= 1
+                    expected = MultiIndex(tuple(mults))
+                    assert down == expected and hash(down) == hash(expected)
+                    assert down.multiplicities == expected.multiplicities
 
 
 class TestPartitions:
