@@ -27,6 +27,7 @@ from .jacobi import (
     OperatorExport,
     adjoint_defect,
     annihilation,
+    check_weights,
     creation,
     export_lines,
     full,
@@ -295,16 +296,20 @@ def cmd_verify_moments(cfg: RunConfig, report: Report) -> int:
 
     The moments need only a truncation of depth ``max_moment // 2`` (see
     :func:`vacuum_moments`); the defect checks run at the configured depth.
+    The space and its pairing weights are checked first, then the oracle
+    side is computed: a cumulant or moment past the doubles, which no
+    comparison could check, is refused before the operator is built.
     """
     measure, grid, phi = cfg.measure(), cfg.grid(), cfg.phi()
     space = _operator_space(cfg, cfg.max_moment // 2)
-    operator_side = vacuum_moments(phi, space, cfg.max_moment)
+    check_weights(space)
     model = CumulantModel(measure, grid)
     oracle_side = [1.0]
     if cfg.max_moment >= 1:
         oracle_side += moments_from_cumulants(
             [model.cumulant(phi, p) for p in range(1, cfg.max_moment + 1)]
         )
+    operator_side = vacuum_moments(phi, space, cfg.max_moment)
     report.add("command", "verify-moments")
     report.add("measure-hash", measure_hash(measure))
     report.add("depth", cfg.depth)

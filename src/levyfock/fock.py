@@ -155,7 +155,8 @@ def partitions(n: int, max_part: int | None = None) -> tuple[MultiIndex, ...]:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     cap = n if max_part is None else max_part
-    return tuple(MultiIndex(mults) for mults in _multiplicities(n, 1, cap))
+    # the generator's vectors are nonnegative Python ints, already trimmed
+    return tuple(MultiIndex._trimmed(list(mults)) for mults in _multiplicities(n, 1, cap))
 
 
 def block_weight(alpha: MultiIndex, table: RecurrenceTable) -> float:
@@ -265,7 +266,7 @@ def _weight_product(reps: np.ndarray, weights: tuple[float, ...]) -> np.ndarray:
     w = np.array(weights)
     sigma = np.ones(len(reps))
     # an overflow to inf is refused where the weights are used: by
-    # jacobi._check_weights and by the chaos oracle's range check
+    # jacobi.check_weights and by the chaos oracle's range check
     with np.errstate(over="ignore"):
         for j in range(reps.shape[1]):
             sigma = sigma * w[reps[:, j]]
@@ -277,17 +278,14 @@ class BlockBasis:
     """Representative-tuple enumeration of one block over one grid.
 
     ``reps`` holds one representative per row (grid point indices), sorted
-    within each same-part-size segment; ``weight`` is the number of
-    distinct within-segment rearrangements of each representative times
-    its product of grid weights, which turns sums over representatives
-    into sums over all tuples.  A representative's position is the
+    within each same-part-size segment.  A representative's position is the
     mixed-radix number of its segments' lexicographic ranks, most
-    significant first, with digit bases ``radix``.
+    significant first, with digit bases ``radix``.  The representatives'
+    weights live in the space's pairing (:attr:`FockSpace.flat_weights`).
     """
 
     alpha: MultiIndex
     reps: np.ndarray
-    weight: np.ndarray
     offsets: tuple[tuple[int, int], ...]  # (start, stop) per part size, 1-based list
     radix: tuple[int, ...]  # number of sorted tuples per part size
 
@@ -326,13 +324,7 @@ def block_basis(alpha: MultiIndex, grid: GridSpace) -> BlockBasis:
     reps = np.empty((dim, alpha.size), dtype=np.intp)
     for (start, stop), segment, rank in zip(offsets, segments, _digits(radix)):
         reps[:, start:stop] = segment[rank]
-    return BlockBasis(
-        alpha=alpha,
-        reps=reps,
-        weight=_multiplicity(reps, offsets, grid.size) * _weight_product(reps, grid.weights),
-        offsets=tuple(offsets),
-        radix=radix,
-    )
+    return BlockBasis(alpha=alpha, reps=reps, offsets=tuple(offsets), radix=radix)
 
 
 def _symmetric_dim(grid: GridSpace, level: int) -> int:
@@ -469,11 +461,12 @@ class FockSpace:
             for n, alphas in self._blocks.items()
             for alpha in alphas
         }
+        choose = [math.comb(grid.size + m - 1, m) for m in range(depth + 1)]
         self._slices: dict[tuple[int, MultiIndex], slice] = {}
         stop = 0
         for key in self._weights:
             start = stop
-            stop += math.prod(_symmetric_dim(grid, m) for m in key[1].multiplicities)
+            stop += math.prod(choose[m] for m in key[1].multiplicities)
             self._slices[key] = slice(start, stop)
         self._bases: dict[MultiIndex, BlockBasis] = {}
 
@@ -511,14 +504,21 @@ class FockSpace:
 
     @cached_property
     def flat_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Level weight ``n! * weight(n, alpha)`` and representative weight
-        ``basis.weight`` at every flat position; their product is the
-        squared norm of that position's basis vector; built on first use."""
+        """Level weight ``n! * weight(n, alpha)`` and representative weight at
+        every flat position; their product is the squared norm of that
+        position's basis vector; built on first use.
+
+        A representative's weight is the number of distinct within-segment
+        rearrangements of its tuple times its product of grid weights, which
+        turns sums over representatives into sums over all tuples.
+        """
         level = np.empty(self.dim)
         rep = np.empty(self.dim)
         for (n, alpha), span in self._slices.items():
+            basis = self.basis(alpha)
             level[span] = math.factorial(n) * self._weights[(n, alpha)]
-            rep[span] = self.basis(alpha).weight
+            mult = _multiplicity(basis.reps, basis.offsets, self.grid.size)
+            rep[span] = mult * _weight_product(basis.reps, self.grid.weights)
         return level, rep
 
     def level_start(self, n: int) -> int:
@@ -531,7 +531,9 @@ class FockSpace:
         ``dim + 2 * sum dim(beta) * (G + size(beta))``: an annihilation row
         in block beta below the top level holds at most G grid contractions
         plus ``size(beta)`` promotions, creation as many, and the neutral
-        part is the diagonal.  At most ``(bound + dim) / 2`` are stored.
+        part is the diagonal.  At most ``(bound + dim) / 2`` are stored:
+        the diagonal and the ``(bound - dim) / 2`` annihilation slots that
+        assembly allocates.
         """
         return self._entry_bound
 

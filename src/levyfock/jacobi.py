@@ -28,10 +28,10 @@ directly on representative values.  Promotions whose source part size
 exceeds the recurrence table are skipped: they only arise when the table
 exhausts the measure, and then their weight is exactly zero.
 
-Assembly first counts the slots of every block pair from the block
-dimensions alone and allocates the triplets once.  It then fills them
-block pair by block pair, in pieces of target rows, with no Python loop
-over representatives: a source position is the mixed-radix number of its
+Assembly allocates the triplets once, sized by the space's closed-form
+slot count (:meth:`FockSpace.entry_bound`), and fills them block pair by
+block pair, in pieces of target rows, with no Python loop over
+representatives: a source position is the mixed-radix number of its
 segments' binomial ranks (:meth:`BlockBasis.compose`), so a contraction
 or promotion only recomputes the rank of the one or two segments it
 changes.  Each piece drops its exact zeros as it is written, and the
@@ -68,6 +68,7 @@ __all__ = [
     "creation",
     "neutral",
     "annihilation",
+    "check_weights",
     "full",
     "vacuum_moments",
     "symmetry_defect",
@@ -134,7 +135,7 @@ def _check_phi(phi: TestFunction, space: FockSpace) -> None:
 _ABOVE = np.iinfo(np.intp).max  # above every grid point
 
 
-def _check_weights(space: FockSpace) -> None:
+def check_weights(space: FockSpace) -> None:
     """Refuse representative or pairing weights outside the normal doubles,
     as the chaos oracle refuses its own: :func:`creation` divides by them."""
     level, rep = space.flat_weights
@@ -289,74 +290,66 @@ def annihilation(phi: TestFunction, space: FockSpace) -> tuple[np.ndarray, np.nd
     summed in position order starting from 0.0; entries that sum to an
     exact zero are dropped.
 
-    The slots (one per target representative and grid point or promoted
-    position) are counted first and allocated once; each block pair is
-    filled in pieces of target rows that hold at most ``_ROW_CHUNK`` index
-    cells, each piece dropping its zeros as it is written, and the arrays
-    are shrunk in place to the entries kept.  They own their data.
+    The slots, one per target representative and grid point or promoted
+    position, are allocated once, as many as the space's entry bound counts
+    (:meth:`FockSpace.entry_bound`); each block pair is filled in pieces of
+    target rows that hold at most ``_ROW_CHUNK`` index cells, each piece
+    dropping its zeros as it is written, and the arrays are shrunk in place
+    to the entries kept.  They own their data.
     """
     _check_phi(phi, space)
-    _check_weights(space)
+    check_weights(space)
     b = space.table.b
     size = space.grid.size
     values = np.array(phi.values)
-    # A block pair's slots: its target rows times its width, G for the
-    # contraction (k = 1) and count(k - 1) for promotion k.
-    pairs, slots = [], 0
+    # Exact, or an upper bound where an exhausted table skips the top promotions.
+    slots = (space.entry_bound() - space.dim) // 2
+    rows, cols, vals = np.empty(slots, np.intp), np.empty(slots, np.intp), np.empty(slots)
+    fill = 0
     for n in range(1, space.depth + 1):
         contraction = n * space.mass * np.array(space.grid.weights) * values
         for dst_alpha in space.blocks(n - 1):
-            sources = [(1, size, dst_alpha.raised(1))]
-            for k in range(2, dst_alpha.max_part + 2):
-                width = dst_alpha.count(k - 1)
-                if width:
-                    src_alpha = dst_alpha.lowered(k - 1).raised(k)
-                    # beyond an exhausted table: exactly zero weight
-                    if src_alpha.max_part <= space.max_part:
-                        sources.append((k, width, src_alpha))
-            where = space.block_slice(n - 1, dst_alpha)
-            slots += (where.stop - where.start) * sum(source[1] for source in sources)
-            pairs.append((n, contraction, dst_alpha, where.start, sources))
-    rows, cols, vals = np.empty(slots, np.intp), np.empty(slots, np.intp), np.empty(slots)
-    fill = 0
-    for n, contraction, dst_alpha, dst_start, sources in pairs:
-        dst = space.basis(dst_alpha)
-        ranks = [
-            r if base == 1 else r[:, None] for r, base in zip(dst.segment_ranks(), dst.radix)
-        ]
-        targets = np.arange(dst_start, dst_start + dst.dim)
-        for k, width, src_alpha in sources:
-            src = space.basis(src_alpha)
-            src_start = space.block_slice(n, src_alpha).start
-            step = max(1, _ROW_CHUNK // (width * (dst_alpha.size + 1)))
-            for lo, hi in _pieces(0, dst.dim, step):
-                src_ranks = [r if base == 1 else r[lo:hi] for r, base in zip(ranks, dst.radix)]
-                src_ranks += [0] * (src_alpha.max_part - len(ranks))
-                if k == 1:
-                    # contraction: grid point i joins the singletons; slots (y, i)
-                    if src.radix[0] > 1:  # a single sorted tuple has rank 0
-                        singles = _inserted(_part(dst, 1)[lo:hi], np.arange(size))
-                        src_ranks[0] = segment_rank(singles, size)
-                    piece = np.repeat(contraction[None, :], hi - lo, axis=0).ravel()
-                else:
-                    # promotion: coordinate q of the size-(k-1) part moves
-                    # into the size-k part; slots (y, q)
-                    lower = _part(dst, k - 1)[lo:hi]
-                    if src.radix[k - 2] > 1:
-                        src_ranks[k - 2] = segment_rank(_removed(lower), size)
-                    if src.radix[k - 1] > 1:
-                        upper = _part(dst, k)[lo:hi]
-                        src_ranks[k - 1] = segment_rank(_inserted(upper, lower), size)
-                    terms = (n / k) * b[k - 1] * values[lower].ravel()
-                    piece = _run_sums(lower, terms, size)
-                index = src.compose(src_ranks, (hi - lo, width), src_start)
-                # Drop the piece's exact zeros as it is written.
-                kept = piece.nonzero()[0]
-                stop = fill + len(kept)
-                rows[fill:stop] = np.repeat(targets[lo:hi], width)[kept]
-                cols[fill:stop] = index.ravel()[kept]
-                vals[fill:stop] = piece[kept]
-                fill = stop
+            dst = space.basis(dst_alpha)
+            ranks = [
+                r if base == 1 else r[:, None] for r, base in zip(dst.segment_ranks(), dst.radix)
+            ]
+            dst_start = space.block_slice(n - 1, dst_alpha).start
+            targets = np.arange(dst_start, dst_start + dst.dim)
+            for k in range(1, dst_alpha.max_part + 2):
+                # slots (y, i) for every grid point i in the contraction (k = 1),
+                # (y, q) for every size-(k-1) coordinate q in promotion k
+                width = size if k == 1 else dst_alpha.count(k - 1)
+                if not width or k > space.max_part:
+                    continue  # no size-(k-1) part, or beyond an exhausted table: zero weight
+                src_alpha = dst_alpha.raised(1) if k == 1 else dst_alpha.lowered(k - 1).raised(k)
+                src = space.basis(src_alpha)
+                src_start = space.block_slice(n, src_alpha).start
+                step = max(1, _ROW_CHUNK // (width * (dst_alpha.size + 1)))
+                for lo, hi in _pieces(0, dst.dim, step):
+                    src_ranks = [r if base == 1 else r[lo:hi] for r, base in zip(ranks, dst.radix)]
+                    src_ranks += [0] * (src_alpha.max_part - len(ranks))
+                    if k == 1:  # grid point i joins the singletons
+                        if src.radix[0] > 1:  # a single sorted tuple has rank 0
+                            singles = _inserted(_part(dst, 1)[lo:hi], np.arange(size))
+                            src_ranks[0] = segment_rank(singles, size)
+                        piece = np.repeat(contraction[None, :], hi - lo, axis=0).ravel()
+                    else:  # coordinate q of the size-(k-1) part moves into the size-k part
+                        lower = _part(dst, k - 1)[lo:hi]
+                        if src.radix[k - 2] > 1:
+                            src_ranks[k - 2] = segment_rank(_removed(lower), size)
+                        if src.radix[k - 1] > 1:
+                            upper = _part(dst, k)[lo:hi]
+                            src_ranks[k - 1] = segment_rank(_inserted(upper, lower), size)
+                        terms = (n / k) * b[k - 1] * values[lower].ravel()
+                        piece = _run_sums(lower, terms, size)
+                    index = src.compose(src_ranks, (hi - lo, width), src_start)
+                    # Drop the piece's exact zeros as it is written.
+                    kept = piece.nonzero()[0]
+                    stop = fill + len(kept)
+                    rows[fill:stop] = np.repeat(targets[lo:hi], width)[kept]
+                    cols[fill:stop] = index.ravel()[kept]
+                    vals[fill:stop] = piece[kept]
+                    fill = stop
     for array in (rows, cols, vals):  # in place: no view of them exists
         array.resize(fill, refcheck=False)
     return rows, cols, vals

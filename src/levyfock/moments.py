@@ -41,20 +41,28 @@ def moments_from_cumulants(cumulants: Sequence[float]) -> list[float]:
     """Raw moments of the distribution with the given cumulants.
 
     Input and output are both indexed from order one.  Uses the standard
-    recursion ``m[p] = sum_j C(p - 1, j - 1) kappa[j] m[p - j]``.
+    recursion ``m[p] = sum_j C(p - 1, j - 1) kappa[j] m[p - j]``.  A moment
+    that is not a finite double is refused, naming its order.
     """
     if not cumulants:
         raise ValueError("need at least one cumulant")
     kappa = [0.0] + [float(c) for c in cumulants]
     moments = [1.0]
     for p in range(1, len(kappa)):
-        moments.append(
-            math.fsum(
-                math.comb(p - 1, j - 1) * kappa[j] * moments[p - j]
-                for j in range(1, p + 1)
-            )
-        )
+        terms = (math.comb(p - 1, j - 1) * kappa[j] * moments[p - j] for j in range(1, p + 1))
+        moments.append(_finite_sum(terms, f"moment of order {p}"))
     return moments[1:]
+
+
+def _finite_sum(terms, what: str, factor: float = 1.0) -> float:
+    """``factor * math.fsum(terms)``, refused unless it is a finite double."""
+    try:
+        total = factor * math.fsum(terms)
+    except (OverflowError, ValueError):  # a power or a sum past the doubles, or inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise ValueError(f"{what} leaves the doubles; rescale the test function or the measure")
+    return total
 
 
 def _orthogonal_norms(sigma: float, levy: Sequence[float], degree: int) -> list:
@@ -101,16 +109,16 @@ class CumulantModel:
         self._scaled: list[list] = []  # h_i(k) / k!**2 as (num, den), a list per point i
 
     def cumulant(self, phi: TestFunction, p: int) -> float:
-        """Cumulant of order ``p`` of the pairing of the noise with ``phi``."""
+        """Cumulant of order ``p`` of the pairing of the noise with ``phi``;
+        one that is not a finite double is refused, naming its order."""
         if phi.grid != self.grid:
             raise ValueError("test function lives on a different grid")
         if p < 1:
             raise ValueError("cumulant order must be positive")
         if p == 1:
             return 0.0
-        return self.measure.levy_moment(p) * math.fsum(
-            w * v**p for w, v in zip(self.grid.weights, phi.values)
-        )
+        terms = (w * v**p for w, v in zip(self.grid.weights, phi.values))
+        return _finite_sum(terms, f"cumulant of order {p}", self.measure.levy_moment(p))
 
     def check_level(self, level: int) -> None:
         """Refuse a level the chaos oracle cannot finish: one above

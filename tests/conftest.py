@@ -135,6 +135,15 @@ def block_reps(alpha: MultiIndex, grid: GridSpace) -> list[tuple[int, ...]]:
     return [tuple(itertools.chain.from_iterable(c)) for c in itertools.product(*segments)]
 
 
+def rep_weights(alpha: MultiIndex, grid: GridSpace) -> np.ndarray:
+    """Each representative's rearrangement count times its product of grid
+    weights, one tuple at a time: the representative half of the pairing."""
+    reps = block_reps(alpha, grid)
+    mult = [math.prod(arrangements(rep[s:e]) for s, e in segment_bounds(alpha)) for rep in reps]
+    sigma = [float(np.prod([grid.weights[p] for p in rep])) if rep else 1.0 for rep in reps]
+    return np.array(mult, dtype=float) * np.array(sigma)
+
+
 @functools.cache
 def _rep_index(alpha: MultiIndex, grid: GridSpace) -> dict[tuple[int, ...], int]:
     return {rep: i for i, rep in enumerate(block_reps(alpha, grid))}

@@ -26,8 +26,14 @@ def test_every_traced_site_exists(tracer):
 
 
 def test_shape_reads_exist():
-    assert callable(fock.FockSpace.block_keys)
-    assert callable(fock.FockSpace.basis)
+    # the tracer reads fock.blocks and fock.dim through these; they must
+    # agree with the space's own count
+    measure = JumpMeasure((-1.0, 0.5, 2.0), (0.6, 0.9, 0.4))
+    grid = GridSpace((0.7, 1.1, 1.3))
+    space = fock.FockSpace(grid, measure, stieltjes(measure, 3), 5)
+    blocks, dim, _ = fock._count(grid.size, 5, 3)
+    assert len(space.block_keys()) == blocks
+    assert sum(space.basis(alpha).dim for _, alpha in space.block_keys()) == space.dim == dim
 
 
 def test_space_lists_blocks_through_partitions(monkeypatch):

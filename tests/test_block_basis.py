@@ -8,20 +8,21 @@ run lengths and binomial ranks.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from levyfock import GridSpace, MultiIndex, SymmetricTensor
+from levyfock import FockSpace, GridSpace, JumpMeasure, MultiIndex, SymmetricTensor, stieltjes
 from levyfock.fock import _multiplicity, block_basis, partitions, segment_rank
 
 from conftest import (
     alpha_id,
-    arrangements,
     at,
     block_reps,
+    rep_weights,
     restriction,
     segment_bounds,
     sorted_tuples,
@@ -39,21 +40,23 @@ GRIDS = [
 BLOCKS = [alpha for n in range(7) for alpha in partitions(n)]
 
 
-def reference_basis(alpha: MultiIndex, grid: GridSpace):
-    reps = block_reps(alpha, grid)
-    mult = [math.prod(arrangements(rep[s:e]) for s, e in segment_bounds(alpha)) for rep in reps]
-    sigma = [float(np.prod([grid.weights[p] for p in rep])) if rep else 1.0 for rep in reps]
-    return reps, np.array(mult, dtype=float), np.array(sigma)
+@functools.cache
+def space_on(grid: GridSpace) -> FockSpace:
+    """A depth-6 space over ``grid`` that holds every block of ``BLOCKS``."""
+    measure = JumpMeasure((-1.3, -0.4, 0.6, 1.1, 2.2, 3.1), (0.7, 1.2, 0.5, 0.9, 1.1, 0.8))
+    return FockSpace(grid, measure, stieltjes(measure, 6), 6)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"G{g.size}")
 @pytest.mark.parametrize("alpha", BLOCKS, ids=alpha_id)
 def test_matches_reference(alpha, grid):
     basis = block_basis(alpha, grid)
-    reps, mult, sigma = reference_basis(alpha, grid)
+    reps = block_reps(alpha, grid)
     assert list(map(tuple, basis.reps.tolist())) == reps
     assert basis.reps.shape == (len(reps), alpha.size)
-    assert basis.weight.tobytes() == (mult * sigma).tobytes()
+    space = space_on(grid)
+    rep = space.flat_weights[1][space.block_slice(alpha.degree, alpha)]
+    assert rep.tobytes() == rep_weights(alpha, grid).tobytes()
     assert basis.dim == len(reps)
     ranks = [segment_rank(basis.reps[:, s:e], grid.size) for s, e in basis.offsets]
     assert np.array_equal(basis.compose(ranks, basis.dim), np.arange(basis.dim))

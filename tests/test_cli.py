@@ -245,15 +245,7 @@ class TestOracleCheckCommand:
             .replace("depth 6\ncheck_symmetry 1", "depth 30\noracle_levels 30")
         )
         path = write(tmp_path, "one-point.cfg", cfg)
-        src = str(Path(levyfock.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "levyfock.cli", "oracle-check", "--config", path],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
+        result = _fresh_cli("oracle-check", path, timeout=10)
         assert result.returncode == 2
         assert "oracle level 30 exceeds the limit of 20" in result.stderr
         assert result.stdout == ""
@@ -365,19 +357,32 @@ def test_weight_overflow_refused_with_one_error_line(tmp_path):
     # built; the refusal is the only line on stderr, with no numpy warning
     cfg = TWO_POINT_CFG.replace("weights 0.8 1.4", "weights 1e300 1.0")
     path = write(tmp_path, "range.cfg", cfg)
-    src = str(Path(levyfock.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "levyfock.cli", "verify-moments", "--config", path],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
+    result = _fresh_cli("verify-moments", path, timeout=30)
     assert result.returncode == 2
     assert result.stdout == ""
     [line] = result.stderr.splitlines()
     assert line.startswith("error: pairing weights from")
+
+
+@pytest.mark.parametrize(
+    "phi, order",
+    [("1e40", "cumulant of order 8"), ("3e38", "cumulant of order 8"), ("2e38", "moment of order 8")],
+)
+def test_oracle_overflow_refused_with_one_error_line(tmp_path, phi, order):
+    # three atoms, one grid point, depth 8: phi**8 or the eighth moment
+    # leaves the doubles, so no comparison could check moment 8; the
+    # refusal names the order and is the only line, with no numpy warning
+    cfg = (
+        MULTI_POINT_CFG.replace("weights 0.7 1.1 1.3", "weights 1.0")
+        .replace("values 0.9 -0.4 1.2", f"values {phi}")
+        .replace("depth 2\noracle_levels 2", "depth 8")
+    )
+    path = write(tmp_path, "huge.cfg", cfg)
+    result = _fresh_cli("verify-moments", path, timeout=30)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"error: {order} leaves the doubles")
 
 
 @pytest.mark.parametrize("command", ["oracle-check", "export-operator"])
@@ -706,13 +711,28 @@ def test_cli_import_leaves_fractions_unloaded(tmp_path):
     assert _fresh_python(_ORACLE_MODULES_PROBE, path, out) == "0 []"
 
 
+def _fresh_env() -> dict[str, str]:
+    """The environment of a new interpreter that imports this levyfock."""
+    src = str(Path(levyfock.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def _fresh_cli(command: str, path: str, timeout: float) -> subprocess.CompletedProcess:
+    """``levyfock.cli COMMAND --config PATH`` run by a new interpreter."""
+    return subprocess.run(
+        [sys.executable, "-m", "levyfock.cli", command, "--config", path],
+        env=_fresh_env(),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
 def _fresh_python(program: str, *args: str) -> str:
     """Stripped stdout of ``program`` run by a new interpreter that imports this levyfock."""
-    src = str(Path(levyfock.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
         [sys.executable, "-c", program, *args],
-        env=env,
+        env=_fresh_env(),
         capture_output=True,
         text=True,
         check=True,

@@ -73,10 +73,15 @@ class TestMultiIndex:
 
     @pytest.mark.parametrize("cap", [None, 3])
     def test_raised_and_lowered_equal_validated_indices(self, cap):
-        # raised and lowered skip the validation pass; their results must
-        # still be the trimmed index the constructor builds, hashing alike
+        # partitions, raised and lowered skip the validation pass; their
+        # results must still be the trimmed index the constructor builds,
+        # hashing alike
         for n in range(13):
             for alpha in partitions(n, max_part=cap):
+                validated = MultiIndex(alpha.multiplicities)
+                assert alpha == validated and hash(alpha) == hash(validated)
+                assert all(type(m) is int for m in alpha.multiplicities)
+                assert alpha.multiplicities[-1:] != (0,)
                 for k in range(1, alpha.max_part + 3):
                     mults = list(alpha.multiplicities) + [0] * (k + 1)
                     mults[k - 1] += 1

@@ -47,6 +47,7 @@ from conftest import (
     poly_expectation,
     poly_product,
     random_measure,
+    rep_weights,
     segment_bounds,
     sym_at,
     sym_tensor_product,
@@ -183,6 +184,19 @@ class TestNeutral:
             assert at(image[2, alpha], alpha, grid, (x,)) == pytest.approx(expected)
 
 
+def enumerated_slots(space):
+    """Annihilation slots block pair by block pair: each target
+    representative times G grid points for the contraction, plus its
+    size-(k-1) coordinates for every promotion k the table reaches."""
+    total = 0
+    for n, beta in space.block_keys():
+        if n < space.depth:
+            top = min(beta.max_part + 1, space.max_part)
+            width = space.grid.size + sum(beta.count(k - 1) for k in range(2, top + 1))
+            total += len(block_reps(beta, space.grid)) * width
+    return total
+
+
 class TestAnnihilation:
     def test_kills_vacuum(self, random_setup):
         _, _, space, phi = random_setup
@@ -220,16 +234,26 @@ class TestAnnihilation:
             assert got == pytest.approx(contraction + promotion, rel=1e-12)
 
     def test_triplets_own_their_data_and_hold_no_zero(self, random_setup):
-        # the slots are allocated once and shrunk in place: a φ of 0.0
-        # empties a contraction column, and equal coordinates leave
-        # promotion slots that are not run starts
+        # the slots are allocated once, as many as the space's closed-form
+        # count, and shrunk in place: a φ of 0.0 empties a contraction
+        # column, equal coordinates leave promotion slots that are not run
+        # starts, and an exhausted table skips its top promotions
         _, grid, space, phi = random_setup
         zero = TestFunction(grid, (phi.values[0], 0.0, phi.values[2]))
-        for f in (phi, zero):
-            rows, cols, vals = annihilation(f, space)
+        weights, values, (locations, masses), depth = REFERENCE_CASES["table-exhausted"]
+        measure, exhausted_grid = JumpMeasure(locations, masses), GridSpace(weights)
+        exhausted = FockSpace(exhausted_grid, measure, stieltjes(measure, len(locations)), depth)
+        inputs = [(space, phi), (space, zero), (exhausted, TestFunction(exhausted_grid, values))]
+        for on, f in inputs:
+            rows, cols, vals = annihilation(f, on)
             assert rows.base is None and cols.base is None and vals.base is None
             assert len(rows) == len(cols) == len(vals) > 0
             assert np.count_nonzero(vals) == len(vals)
+            counted = (on.entry_bound() - on.dim) // 2
+            if on is space:
+                assert counted == enumerated_slots(on)
+            else:
+                assert (counted, enumerated_slots(on)) == (156, 150)
         assert len(annihilation(zero, space)[2]) < len(annihilation(phi, space)[2])
 
     def test_assembly_peak_near_its_result(self):
@@ -615,7 +639,7 @@ def dense_pairing(space, apply):
     the image of basis vector a with basis vector b."""
     weights = np.concatenate(
         [
-            math.factorial(n) * space.weight(n, alpha) * space.basis(alpha).weight
+            math.factorial(n) * space.weight(n, alpha) * rep_weights(alpha, space.grid)
             for n, alpha in space.block_keys()
         ]
     )

@@ -76,6 +76,19 @@ class TestMomentsFromCumulants:
         with pytest.raises(ValueError):
             moments_from_cumulants([])
 
+    @pytest.mark.parametrize(
+        "kappa, order",
+        [
+            ([0.0, 1e200], 4),  # one term 3e400: inf
+            ([0.0, 5e153, 0.0, 1.5e308], 4),  # finite terms whose sum overflows
+            ([0.0, 1.0, math.inf], 3),
+        ],
+    )
+    def test_moment_past_the_doubles_refused(self, kappa, order):
+        kappa = kappa + [0.0] * (order - len(kappa))
+        with pytest.raises(ValueError, match=f"moment of order {order} leaves the doubles"):
+            moments_from_cumulants(kappa)
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
@@ -109,6 +122,16 @@ class TestCumulantModel:
         assert model.cumulant(phi, 2) == pytest.approx(2.0)
         assert model.cumulant(phi, 3) == 0.0
         assert model.cumulant(phi, 4) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("value", [1e40, -3e38])
+    def test_cumulant_past_the_doubles_refused(self, value):
+        # 1e40**8 overflows the power; (-3e38)**8 times the levy moment 32.5 the product
+        grid = GridSpace((1.0,))
+        model = CumulantModel(JumpMeasure((-1.0, 0.5, 2.0), (0.5, 1.0, 0.5)), grid)
+        phi = TestFunction(grid, (value,))
+        assert math.isfinite(model.cumulant(phi, 7))
+        with pytest.raises(ValueError, match="cumulant of order 8 leaves the doubles"):
+            model.cumulant(phi, 8)
 
     def test_second_cumulant_nonnegative(self, g1):
         rng = np.random.default_rng(3)
