@@ -10,12 +10,13 @@ every number printed to 17 significant digits, plus an optional JSON
 machine block; byte-identical across repeated runs on one configuration.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration,
-validation or report-write error.
+validation or report-write error (a closed stdout pipe included).
 """
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Iterator
@@ -465,15 +466,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     pieces = report.render(args.json)
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.writelines(pieces)
-        except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.writelines(pieces)
+        else:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except OSError as exc:
+        if not args.out:  # so that the exit flush cannot fail on the closed pipe again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -198,19 +198,15 @@ def _combinations(size: int, m: int) -> np.ndarray:
 
 
 def _digits(radix: tuple[int, ...]) -> list:
-    """Mixed-radix digits of ``0 .. prod(radix) - 1``, most significant first;
-    a digit of base 1 is the scalar 0."""
+    """Mixed-radix digits of ``0 .. prod(radix) - 1``, most significant first
+    (``np.unravel_index``); a digit of base 1 is the scalar 0.  A radix that
+    counts one number, as every block on one grid point has, makes no numpy
+    call."""
     count = math.prod(radix)
-    digits = []
-    period = count
-    for base in radix:
-        inner = period // base
-        if base == 1:
-            digits.append(0)
-        else:
-            digits.append(np.repeat(np.arange(base), inner)[np.arange(count) % period])
-        period = inner
-    return digits
+    if count == 1:
+        return [0] * len(radix)
+    digits = np.unravel_index(np.arange(count), radix)
+    return [0 if base == 1 else digit for base, digit in zip(radix, digits)]
 
 
 @lru_cache(maxsize=None)
@@ -365,11 +361,10 @@ def _sort_rows(rows: np.ndarray) -> None:
 
 
 # The size cap.  An export adds 36 bytes of peak RSS per exported entry at
-# G = 24 and 32, depth 4, and verify-moments with check_symmetry 38 to 40, so
-# the entry limit holds a run under 0.9 GB.  A block adds 3 to 4 kB whatever
-# its dimension (on one grid point, 3.0 kB at depth 24 and 3.5 kB at depth 36,
-# 0.15 kB more with check_symmetry); entries and blocks together are held to
-# 0.9 GB.
+# G = 24 and 32, depth 4, and verify-moments with check_symmetry 38 to 40.  A
+# block adds 3 to 4 kB whatever its dimension (on one grid point, 3.0 kB at
+# depth 24 and 3.5 kB at depth 36, 0.15 kB more with check_symmetry).  Entries
+# and blocks together are held to the bytes of the entry limit, 0.9 GB.
 _ENTRY_LIMIT = 20_000_000
 _BYTES_PER_ENTRY = 48
 _BYTES_PER_BLOCK = 4_000
@@ -394,22 +389,17 @@ def _count(size: int, depth: int, max_part: int) -> tuple[int, int, int]:
 
 
 def _check_size(bound: int, blocks: int) -> None:
-    try:
-        entry_gb = bound * _BYTES_PER_ENTRY / 2**30
-    except OverflowError:  # a bound beyond the doubles: exact count, no estimate
-        entry_gb = math.inf
-    cap_gb = _ENTRY_LIMIT * _BYTES_PER_ENTRY / 2**30
-    total_gb = entry_gb + blocks * _BYTES_PER_BLOCK / 2**30
-    if bound > _ENTRY_LIMIT:
-        excess = f"(about {entry_gb:.1f} GB) exceed the limit of {_ENTRY_LIMIT:,}"
-    elif total_gb > cap_gb:
-        excess = (
-            f"in {blocks:,} blocks (about {total_gb:.1f} GB) exceed the limit of {cap_gb:.1f} GB"
-        )
-    else:
+    cap = _ENTRY_LIMIT * _BYTES_PER_ENTRY
+    held = bound * _BYTES_PER_ENTRY + blocks * _BYTES_PER_BLOCK
+    if held <= cap:  # integers: exact
         return
+    try:
+        gb = held / 2**30
+    except OverflowError:  # a bound beyond the doubles: exact count, no estimate
+        gb = math.inf
     raise ValueError(
-        f"operator too large: up to {bound:,} operator entries {excess}; "
+        f"operator too large: up to {bound:,} operator entries in {blocks:,} blocks "
+        f"(about {gb:.1f} GB) exceed the limit of {cap / 2**30:.1f} GB; "
         "lower the depth or the grid size"
     )
 

@@ -32,11 +32,13 @@ Assembly allocates the triplets once, sized by the space's closed-form
 slot count (:meth:`FockSpace.entry_bound`), and fills them block pair by
 block pair, in pieces of target rows, with no Python loop over
 representatives: a source position is the mixed-radix number of its
-segments' binomial ranks (:meth:`BlockBasis.compose`), so a contraction
-or promotion only recomputes the rank of the one or two segments it
-changes.  Each piece drops its exact zeros as it is written, and the
-triplets are shrunk in place at the end, so the assembly never holds
-more than the triplets and one piece.  The triplets come out in the
+segments' binomial ranks (:meth:`BlockBasis.compose`), so a block pair
+only recomputes the ranks of the segments it changes, by one move rule.
+One coordinate moves into the size-k part: a grid point for the
+contraction (k = 1), or a coordinate of the size-(k-1) part for promotion
+k, which also leaves that part.  Each piece drops its exact zeros as it
+is written, and the triplets are shrunk in place at the end, so the
+assembly never holds more than the triplets and one piece.  The triplets come out in the
 order of the per-representative formulas: level, target block, the
 contraction and then the promotions by ascending part size,
 representative, then grid point or promoted position.
@@ -86,11 +88,11 @@ class FieldOperator:
     ``rows``, ``cols`` and ``vals`` hold the annihilation part: entry
     ``vals[i]`` maps flat position ``cols[i]`` (level n) to flat position
     ``rows[i]`` (level n - 1); no (row, column) pair repeats and no value
-    is zero.  ``diag`` holds the neutral part at flat positions
-    ``1 .. dim - 1`` (the vacuum's entry is exactly zero), exact zeros
-    included.  The creation part is never stored: it maps ``rows[i]`` to
-    ``cols[i]`` with the value :func:`creation` derives from ``vals[i]``
-    where it is used.
+    is zero.  ``diag`` holds the neutral part at every flat position, exact
+    zeros included (the vacuum's ``+0.0`` among them); a diagonal of any
+    other length is refused.  The creation part is never stored: it maps
+    ``rows[i]`` to ``cols[i]`` with the value :func:`creation` derives from
+    ``vals[i]`` where it is used.
     """
 
     space: FockSpace
@@ -99,6 +101,10 @@ class FieldOperator:
     cols: np.ndarray
     vals: np.ndarray
     diag: np.ndarray
+
+    def __post_init__(self):
+        if self.diag.shape != (self.space.dim,):
+            raise ValueError("diagonal does not match the space's flat layout")
 
     def apply(self, v: ExtendedFockVector) -> ExtendedFockVector:
         """Matrix-vector product.
@@ -119,8 +125,8 @@ class FieldOperator:
         for lo, hi in _pieces(0, len(vals), _ROW_CHUNK):
             src, dst = rows[lo:hi], cols[lo:hi]
             np.add.at(out, dst, creation(self.space, src, dst, vals[lo:hi]) * x[src])
-        for lo, hi in _pieces(1, len(out), _ROW_CHUNK):
-            part, scale = out[lo:hi], diag[lo - 1 : hi - 1]
+        for lo, hi in _pieces(0, len(out), _ROW_CHUNK):
+            part, scale = out[lo:hi], diag[lo:hi]
             np.add(part, scale * x[lo:hi], out=part, where=scale != 0.0)
         for lo, hi in _pieces(0, len(vals), _ROW_CHUNK):
             np.add.at(out, rows[lo:hi], vals[lo:hi] * x[cols[lo:hi]])
@@ -174,12 +180,8 @@ def _inserted(segment: np.ndarray, value: np.ndarray) -> np.ndarray:
 def _removed(segment: np.ndarray) -> np.ndarray:
     """The sorted tuples ``segment`` (one per row) without coordinate q, for
     every q along a new middle axis."""
-    count, m = segment.shape
-    out = np.empty((count, m, m - 1), dtype=segment.dtype)
-    for q in range(m):
-        out[:, q, :q] = segment[:, :q]
-        out[:, q, q:] = segment[:, q + 1 :]
-    return out
+    m = segment.shape[1]
+    return segment[:, np.array([[j for j in range(m) if j != q] for q in range(m)], np.intp)]
 
 
 # Index cells (target rows x slot width x (target size + 1)) an assembly
@@ -241,16 +243,16 @@ def neutral(phi: TestFunction, space: FockSpace) -> np.ndarray:
     its block, of the diagonal recurrence coefficient of that size times
     the test-function values on the segment.  Each segment sum is one
     ``math.fsum``, taken once per sorted tuple of grid points straight
-    into an array and gathered by segment rank.  The vacuum has no parts, so its entry is exactly zero
-    and is left out: the diagonal starts at flat position 1.  An exact zero
-    in it (a segment whose test-function values cancel) stays, and acts as
-    no entry.
+    into an array and gathered by segment rank.  The diagonal has one entry
+    per flat position; the vacuum has no parts, so its entry is ``+0.0``.
+    An exact zero (the vacuum's, or a segment whose test-function values
+    cancel) stays, and acts as no entry.
     """
     _check_phi(phi, space)
     a = space.table.a
     sums: dict[int, np.ndarray] = {}  # part count -> phi summed over each sorted tuple
-    diag = np.empty(space.dim - 1)
-    for level, alpha in space.block_keys()[1:]:
+    diag = np.empty(space.dim)
+    for level, alpha in space.block_keys():
         basis = space.basis(alpha)
         ranks = basis.segment_ranks()
         total = np.zeros(basis.dim)
@@ -260,8 +262,7 @@ def neutral(phi: TestFunction, space: FockSpace) -> np.ndarray:
                 count = math.comb(space.grid.size + m - 1, m)
                 sums[m] = np.fromiter(map(math.fsum, tuples), float, count)
             total = total + a[k - 1] * sums[m][ranks[k - 1]]
-        where = space.block_slice(level, alpha)
-        diag[where.start - 1 : where.stop - 1] = total
+        diag[space.block_slice(level, alpha)] = total
     return diag
 
 
@@ -295,7 +296,10 @@ def annihilation(phi: TestFunction, space: FockSpace) -> tuple[np.ndarray, np.nd
     (:meth:`FockSpace.entry_bound`); each block pair is filled in pieces of
     target rows that hold at most ``_ROW_CHUNK`` index cells, each piece
     dropping its zeros as it is written, and the arrays are shrunk in place
-    to the entries kept.  They own their data.
+    to the entries kept.  They own their data.  The contraction and the
+    promotions share one source-rank update (see the module docstring);
+    only their values differ: the level's contraction row for k = 1, the
+    run sums for k >= 2.
     """
     _check_phi(phi, space)
     check_weights(space)
@@ -328,20 +332,19 @@ def annihilation(phi: TestFunction, space: FockSpace) -> tuple[np.ndarray, np.nd
                 for lo, hi in _pieces(0, dst.dim, step):
                     src_ranks = [r if base == 1 else r[lo:hi] for r, base in zip(ranks, dst.radix)]
                     src_ranks += [0] * (src_alpha.max_part - len(ranks))
-                    if k == 1:  # grid point i joins the singletons
-                        if src.radix[0] > 1:  # a single sorted tuple has rank 0
-                            singles = _inserted(_part(dst, 1)[lo:hi], np.arange(size))
-                            src_ranks[0] = segment_rank(singles, size)
+                    # the coordinate that moves into the size-k part: grid point i,
+                    # or coordinate q of the size-(k-1) part, which leaves it
+                    moved = np.arange(size) if k == 1 else _part(dst, k - 1)[lo:hi]
+                    if k > 1 and src.radix[k - 2] > 1:  # a single sorted tuple has rank 0
+                        src_ranks[k - 2] = segment_rank(_removed(moved), size)
+                    if src.radix[k - 1] > 1:
+                        upper = _inserted(_part(dst, k)[lo:hi], moved)
+                        src_ranks[k - 1] = segment_rank(upper, size)
+                    if k == 1:
                         piece = np.repeat(contraction[None, :], hi - lo, axis=0).ravel()
-                    else:  # coordinate q of the size-(k-1) part moves into the size-k part
-                        lower = _part(dst, k - 1)[lo:hi]
-                        if src.radix[k - 2] > 1:
-                            src_ranks[k - 2] = segment_rank(_removed(lower), size)
-                        if src.radix[k - 1] > 1:
-                            upper = _part(dst, k)[lo:hi]
-                            src_ranks[k - 1] = segment_rank(_inserted(upper, lower), size)
-                        terms = (n / k) * b[k - 1] * values[lower].ravel()
-                        piece = _run_sums(lower, terms, size)
+                    else:
+                        terms = (n / k) * b[k - 1] * values[moved].ravel()
+                        piece = _run_sums(moved, terms, size)
                     index = src.compose(src_ranks, (hi - lo, width), src_start)
                     # Drop the piece's exact zeros as it is written.
                     kept = piece.nonzero()[0]
@@ -412,7 +415,7 @@ def symmetry_defect(space: FockSpace, diag: np.ndarray) -> float:
     """
     low = space.level_start(space.depth)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are results here
-        pairing = np.multiply(*space.flat_weights)[1:low] * diag[: low - 1]
+        pairing = np.multiply(*space.flat_weights)[:low] * diag[:low]
         return _scaled_gap(pairing - pairing, pairing)
 
 
@@ -527,9 +530,9 @@ class OperatorExport:
             for lo, hi in _pieces(down_at[b], down_at[b + 1], _EXPORT_CHUNK):
                 take = down[lo:hi]
                 yield self._lines(b, op.cols[take], op.rows[take], op.vals[take])
-            for lo, hi in _pieces(max(starts[b], 1), starts[b + 1], _EXPORT_CHUNK):
-                nonzero = np.flatnonzero(op.diag[lo - 1 : hi - 1]) + lo
-                yield self._lines(b, nonzero, nonzero, op.diag[nonzero - 1])
+            for lo, hi in _pieces(starts[b], starts[b + 1], _EXPORT_CHUNK):
+                nonzero = np.flatnonzero(op.diag[lo:hi]) + lo
+                yield self._lines(b, nonzero, nonzero, op.diag[nonzero])
             for lo, hi in _pieces(up_at[b], up_at[b + 1], _EXPORT_CHUNK):
                 take = up[lo:hi]
                 rows, cols = op.rows[take], op.cols[take]

@@ -362,8 +362,8 @@ def creation_part(phi: TestFunction, space: FockSpace):
 
 def neutral_part(phi: TestFunction, space: FockSpace):
     """``(rows, cols, vals)`` of the neutral part: the neutral builder's
-    diagonal at flat positions ``1 .. dim - 1``."""
-    positions = np.arange(1, space.dim)
+    diagonal at flat positions ``0 .. dim - 1``."""
+    positions = np.arange(space.dim)
     return positions, positions, neutral(phi, space)
 
 
@@ -379,7 +379,7 @@ def operator_entries(op: FieldOperator) -> tuple[np.ndarray, np.ndarray, np.ndar
     creation, neutral, annihilation, in that order, exact zeros dropped;
     the creation entries by :func:`_adjoint`."""
     d, s, m = op.rows, op.cols, op.vals
-    positions = np.arange(1, op.space.dim)
+    positions = np.arange(op.space.dim)
     parts = [(s, d, _adjoint(op.space, d, s, m)), (positions, positions, op.diag), (d, s, m)]
     rows, cols, vals = (np.concatenate(arrays) for arrays in zip(*parts))
     keep = vals != 0.0

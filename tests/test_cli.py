@@ -662,6 +662,32 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_closed_stdout_pipe_exits_2_with_one_line(tmp_path):
+    # a reader that stops after one line, as `| head -1` does; the export
+    # (six grid points, depth 6: about 0.9 MB) outgrows the pipe's buffer,
+    # so the writer is still writing when the pipe closes
+    cfg = (
+        SIX_ATOM_CFG.replace("weights 0.8 1.4", "weights 0.8 1.4 1.1 0.6 0.9 1.2")
+        .replace("values 0.9 -0.4", "values 0.9 -0.4 0.3 1.1 -0.7 0.5")
+        .replace("depth 4", "depth 6")
+    )
+    path = write(tmp_path, "export.cfg", cfg)
+    with subprocess.Popen(
+        [sys.executable, "-m", "levyfock.cli", "export-operator", "--config", path],
+        env=_fresh_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as child:
+        assert child.stdout.readline() == "# levyfock operator export\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 2
+    (line,) = err.splitlines()
+    assert line.startswith("error: cannot write report: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_oversize_export_exits_2_before_assembly(tmp_path, capsys, monkeypatch):
     def assembled(self, alpha):
         raise AssertionError("assembly started")
@@ -886,9 +912,14 @@ SIX_ATOM_CFG = TWO_POINT_CFG.replace(
     [
         (
             SIX_ATOM_CFG.replace("depth 4", "depth 60"),
-            "up to 13,527,286,651 operator entries (about 604.7 GB) exceed the limit of 20,000,000",
+            "up to 13,527,286,651 operator entries in 241,502 blocks (about 605.6 GB) exceed the "
+            "limit of 0.9 GB",
         ),
-        (SIX_ATOM_CFG.replace("depth 4", "depth 400"), "exceed the limit of 20,000,000"),
+        (
+            SIX_ATOM_CFG.replace("depth 4", "depth 400"),
+            "operator entries in 9,291,593,969 blocks (about 1695387239010.7 GB) exceed the limit "
+            "of 0.9 GB",
+        ),
         (
             GAMMA_CFG.replace("depth 9", "depth 44"),
             "up to 9,837,365 operator entries in 451,487 blocks (about 2.1 GB) exceed the "
@@ -1097,7 +1128,10 @@ class TestNanVerdicts:
 
         def with_inf(*args):
             built = build(*args)  # the triplets, or the diagonal
-            (built[2] if where == "vals" else built)[0] = math.inf  # level 0 to 1, or position 1
+            if where == "vals":
+                built[2][0] = math.inf  # level 0 to 1
+            else:
+                built[1] = math.inf  # flat position 1
             return built
 
         monkeypatch.setattr(cli, part, with_inf)

@@ -179,7 +179,8 @@ class TestClosedFormSize:
         # still refused with its exact count, its size beyond the doubles
         measure = JumpMeasure((-1.0, 2.0), (0.5, 0.5))
         grid = GridSpace((1.0,) * 1000)
-        with pytest.raises(ValueError, match=r"operator entries \(about inf GB\) exceed"):
+        message = r"operator entries in 40,401 blocks \(about inf GB\) exceed"
+        with pytest.raises(ValueError, match=message):
             FockSpace(grid, measure, stieltjes(measure, 2), 400)
 
 

@@ -1,7 +1,8 @@
-"""Source hygiene, read with ``ast``: no unused imports, the shared test
-oracles import only the package's public names, the chaos oracle loads no
-block code at run time, and no module of the package reaches
-``numpy.linalg`` or imports ``fractions`` or ``decimal``."""
+"""Source hygiene, read with ``ast``: no unused imports, no private name
+the package never reads, the shared test oracles import only the package's
+public names, the chaos oracle loads no block code at run time, and no
+module of the package reaches ``numpy.linalg`` or imports ``fractions`` or
+``decimal``."""
 from __future__ import annotations
 
 import ast
@@ -41,6 +42,50 @@ def test_no_unused_imports(path):
 def test_unused_import_detected():
     tree = ast.parse("import os\nfrom math import pi, tau\n__all__ = ['tau']\n")
     assert unused_imports(tree) == ["os (line 1)", "pi (line 2)"]
+
+
+def unread_private_names(trees: list[ast.Module]) -> list[str]:
+    """``_``-prefixed functions, methods, classes and module constants of
+    ``trees`` that no code of ``trees`` reads outside their own definition."""
+    definitions = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((node.name, node))
+        for node in tree.body:  # module constants, annotated or not
+            if isinstance(node, ast.Assign):
+                definitions += [(t.id, node) for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                definitions.append((node.target.id, node))
+    private: dict[str, set[int]] = {}  # name -> ids of the nodes of its definitions
+    for name, node in definitions:
+        if name.startswith("_") and not name.startswith("__"):
+            private.setdefault(name, set()).update(map(id, ast.walk(node)))
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in private and isinstance(node.ctx, ast.Load) and id(node) not in private[name]:
+                read.add(name)
+    return sorted(set(private) - read)
+
+
+def test_unread_private_name_detected():
+    tree = ast.parse(
+        "_USED = 1\n_UNUSED: int = 2\n"
+        "def _recursive(n):\n    return _recursive(n - 1) + _USED\n"
+        "class _Kept:\n    def _method(self):\n        return self._other()\n"
+        "    def _other(self):\n        return 0\n"
+        "x = _Kept()\n"
+    )
+    assert unread_private_names([tree]) == ["_UNUSED", "_method", "_recursive"]
+
+
+def test_package_reads_every_private_name():
+    # code that only tests call is deleted, private helpers included
+    sources = sorted((ROOT / "src" / "levyfock").glob("*.py"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sources]
+    assert unread_private_names(trees) == []
 
 
 def test_conftest_imports_only_public_names():

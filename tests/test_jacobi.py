@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 import tracemalloc
@@ -157,10 +156,12 @@ class TestNeutral:
         image = entries_apply(space, neutral_part(phi, space), space.vacuum())
         assert np.all(image.values == 0.0)
 
-    def test_stores_only_the_diagonal(self, random_setup):
-        # the vacuum's entry is exactly zero and never assembled
+    def test_stores_the_diagonal_at_every_position(self, random_setup):
+        # one entry per flat position; the vacuum's is exactly +0.0
         _, _, space, phi = random_setup
-        assert neutral(phi, space).shape == (space.dim - 1,)
+        diag = neutral(phi, space)
+        assert diag.shape == (space.dim,)
+        assert diag[0].tobytes() == np.float64(0.0).tobytes()
 
     def test_level_one_action(self, random_setup):
         _, grid, space, phi = random_setup
@@ -501,12 +502,21 @@ class TestFullOperator:
         fields = [field.name for field in dataclasses.fields(op)]
         assert fields == ["space", "phi", "rows", "cols", "vals", "diag"]
 
+    def test_diagonal_of_another_length_refused(self, random_setup):
+        # a diagonal one short, without the vacuum's entry, would shift
+        # every exported neutral entry by one position
+        _, _, space, phi = random_setup
+        op = full(phi, space)
+        for diag in (op.diag[1:], np.append(op.diag, 0.0)):
+            with pytest.raises(ValueError, match="diagonal does not match"):
+                FieldOperator(space, phi, op.rows, op.cols, op.vals, diag)
+
     def test_build_and_export_peak_near_what_it_stores(self):
         # G = 6, D = 4, 2,534 exported entries.  The operator stores 24 bytes
         # per annihilation entry, which also serves its creation entry, and 8
         # per diagonal entry: 12 or fewer per exported entry, where stored
         # creation triplets would make it 24.  Building and exporting peaked
-        # at 168,623 bytes, 5.9 times the 28,624 stored: annihilation's
+        # at 168,623 bytes, 5.9 times the 28,632 stored: annihilation's
         # assembly temporaries and one chunk of formatted lines
         rng = np.random.default_rng(5)
         measure = random_measure(rng, 6)
@@ -706,25 +716,9 @@ class TestSymmetryAndAdjointness:
             defect = adjoint_defect(space, minus, creation(space, *minus))
         else:
             diag = neutral(phi, space)
-            diag[0] = np.inf  # flat position 1
+            diag[1] = np.inf  # flat position 1
             defect = symmetry_defect(space, diag)
         assert not math.isfinite(defect)
-
-
-def _per_entry_lines(op):
-    """Entry lines of the export, one ``f"{v:.17g}"`` per entry of the three
-    parts (:func:`operator_entries`), ordered by a plain sort of (source
-    block, target block, source, target) positions."""
-    space = op.space
-    starts = [space.block_slice(*key).start for key in space.block_keys()]
-    labels = [f"{n} {j}" for n in range(space.depth + 1) for j in range(len(space.blocks(n)))]
-    entries = []
-    for row, col, value in zip(*(a.tolist() for a in operator_entries(op))):
-        s = bisect.bisect_right(starts, col) - 1
-        d = bisect.bisect_right(starts, row) - 1
-        line = f"{labels[s]} {col - starts[s]} {labels[d]} {row - starts[d]} {value:.17g}"
-        entries.append(((s, d, col, row), line))
-    return [line for _, line in sorted(entries)]
 
 
 SIX_ATOMS = ((-1.3, -0.4, 0.6, 1.1, 2.2, 3.1), (0.7, 1.2, 0.5, 0.9, 1.1, 0.8))
@@ -787,7 +781,7 @@ class TestAgainstReference:
 
 def test_zero_diagonal_entries_are_absent(monkeypatch):
     op = reference_operator("zero-segment-sum", monkeypatch)
-    zeros = np.flatnonzero(op.diag == 0.0) + 1
+    zeros = np.flatnonzero(op.diag[1:] == 0.0) + 1
     assert len(zeros) > 0
     export = list(export_lines(op))
     assert not any(line.endswith(" 0") for line in export)
@@ -856,7 +850,7 @@ class TestExport:
         odd = FieldOperator(space, phi, op.rows, op.cols, vals, diag)
         export = export_lines(odd)
         with np.errstate(over="ignore"):  # a creation value of 1e300 may overflow to inf
-            assert list(export)[len(export.header) :] == _per_entry_lines(odd)
+            assert list(export)[len(export.header) :] == operator_export_entries(odd)
 
     def test_entries_reconstruct_application(self, nu2, g1):
         space = FockSpace(g1, nu2, stieltjes(nu2, 2), 3)
