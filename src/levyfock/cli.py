@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .fock import FockSpace, MultiIndex, SymmetricTensor, level_inner_product
+from .fock import FockSpace, SymmetricTensor, level_inner_product, sorted_tuple_count
 from .jacobi import (
     OperatorExport,
     adjoint_defect,
@@ -326,7 +326,7 @@ def cmd_verify_moments(cfg: RunConfig, report: Report) -> int:
             failed.append(k)
     symmetry_bad = False
     if cfg.check_symmetry:
-        deep = space.at_depth(cfg.depth)
+        deep = FockSpace(grid, measure, space.table, cfg.depth)
         minus = annihilation(phi, deep)
         pair_defect = adjoint_defect(deep, minus, creation(deep, *minus))
         neutral_defect = symmetry_defect(deep, neutral(phi, deep))
@@ -405,7 +405,7 @@ def cmd_oracle_check(cfg: RunConfig, report: Report) -> int:
     level_worst = []
     pairs = 0
     for n in range(cfg.oracle_levels + 1):
-        dim = space.basis(MultiIndex((n,))).dim
+        dim = sorted_tuple_count(grid.size, n)
         errors = []
         for i in range(dim):
             f = SymmetricTensor.basis_element(grid, n, i)

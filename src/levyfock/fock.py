@@ -17,17 +17,17 @@ listing any block, so an oversize space costs no enumeration to refuse.
 It also owns the pairing: one weight per flat
 position, built on first use and read by every inner product, defect
 and the creation transpose; spaces on one grid and table share the
-layout of their common levels.  A block basis holds its representatives
-as one integer array, one row each, built from one array of sorted
-tuples per part size.  A representative's position needs no lookup
-table: it is the mixed-radix number, in part-size order, of each
-segment's lexicographic rank, and that rank is a sum of binomial
+layout of their common levels.  A block basis holds no array: a
+representative's position is the mixed-radix number, in part-size order,
+of each segment's lexicographic rank, and that rank is a sum of binomial
 coefficients, so whole arrays of tuples are ranked at once.  Block values
 are plain arrays in that order (a vector's ``v[n, alpha]`` view).  The
-space builds each block basis on first use and keeps it, so a basis lives
-exactly as long as its space.  A plain symmetric level-n tensor is stored
-in the layout of the all-singletons block of level n; the space embeds it
-in every block of level n by one gather.  Summations
+representatives themselves are gathered by segment rank from one
+read-only table of sorted m-tuples per part count m, which the space
+builds on first use and frees with itself; nothing is kept per block.  A
+plain symmetric level-n tensor is stored in the layout of the
+all-singletons block of level n; the space embeds it in every block of
+level n by one gather.  Summations
 run in enumeration order, so vectors, operators and reports are
 bit-stable across runs.  All inputs are immutable, so concurrent use is
 safe; results are identical to sequential execution.
@@ -51,6 +51,7 @@ __all__ = [
     "block_weight",
     "BlockBasis",
     "block_basis",
+    "sorted_tuple_count",
     "segment_rank",
     "SymmetricTensor",
     "FockSpace",
@@ -187,26 +188,13 @@ def block_weight(alpha: MultiIndex, table: RecurrenceTable) -> float:
     return weight
 
 
-def _combinations(size: int, m: int) -> np.ndarray:
-    """Sorted m-tuples of grid points ``0 .. size - 1``, one per row, in
-    lexicographic order."""
-    count = math.comb(size + m - 1, m)
-    flat = itertools.chain.from_iterable(
-        itertools.combinations_with_replacement(range(size), m)
-    )
-    return np.fromiter(flat, dtype=np.intp, count=count * m).reshape(count, m)
-
-
-def _digits(radix: tuple[int, ...]) -> list:
-    """Mixed-radix digits of ``0 .. prod(radix) - 1``, most significant first
-    (``np.unravel_index``); a digit of base 1 is the scalar 0.  A radix that
-    counts one number, as every block on one grid point has, makes no numpy
-    call."""
-    count = math.prod(radix)
-    if count == 1:
-        return [0] * len(radix)
-    digits = np.unravel_index(np.arange(count), radix)
-    return [0 if base == 1 else digit for base, digit in zip(radix, digits)]
+@lru_cache(maxsize=None)
+def sorted_tuple_count(size: int, m: int) -> int:
+    """Number of sorted m-tuples of ``size`` grid points, ``C(size + m - 1, m)``:
+    the digit base of m parts, and the dimension of a level-m symmetric tensor."""
+    if m < 0:
+        raise ValueError("level must be nonnegative")
+    return math.comb(size + m - 1, m)
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +207,7 @@ def _rank_terms(size: int, m: int) -> np.ndarray:
         dtype=np.int64,
     ).reshape(top, m)
     if m:
-        table[:, 0] += math.comb(top, m) - 1
+        table[:, 0] += sorted_tuple_count(size, m) - 1
     return table
 
 
@@ -235,9 +223,9 @@ def segment_rank(tuples: np.ndarray, size: int) -> np.ndarray:
     return _rank_terms(size, len(j))[tuples + j, j].sum(axis=-1)
 
 
-def _multiplicity(reps: np.ndarray, offsets, size: int) -> np.ndarray:
+def _multiplicity(reps: np.ndarray, counts: tuple[int, ...], size: int) -> np.ndarray:
     """Distinct within-segment rearrangements of each row of sorted segments
-    over ``size`` grid points.
+    over ``size`` grid points; segment k holds the next ``counts[k]`` columns.
 
     Per segment this is ``m! / prod(run length!)``, built one column at a
     time as a running integer ratio: after each column it is the count for
@@ -248,12 +236,14 @@ def _multiplicity(reps: np.ndarray, offsets, size: int) -> np.ndarray:
     exact = reps.shape[1] <= 18  # running counts stay below 18! < 2**53, exact as floats
     equal = np.eye(size, dtype=float if exact else object)  # 1 where two points coincide
     mult = np.ones(len(reps), dtype=equal.dtype)
-    for start, stop in offsets:
+    start = 0
+    for m in counts:
         run = np.ones(len(reps), dtype=equal.dtype)
-        for j in range(start + 1, stop):
+        for j in range(start + 1, start + m):
             run = equal[reps[:, j], reps[:, j - 1]] * run + 1
             mult = mult * (j - start + 1)
             mult = mult / run if exact else mult // run
+        start += m
     return mult.astype(float)
 
 
@@ -269,31 +259,35 @@ def _weight_product(reps: np.ndarray, weights: tuple[float, ...]) -> np.ndarray:
     return sigma
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockBasis:
-    """Representative-tuple enumeration of one block over one grid.
+    """Representative-tuple arithmetic of one block over one grid.
 
-    ``reps`` holds one representative per row (grid point indices), sorted
-    within each same-part-size segment.  A representative's position is the
+    A representative holds one sorted tuple of grid points per part size,
+    the segments laid out in increasing part size.  Its position is the
     mixed-radix number of its segments' lexicographic ranks, most
-    significant first, with digit bases ``radix``.  The representatives'
-    weights live in the space's pairing (:attr:`FockSpace.flat_weights`).
+    significant first, with digit bases ``radix``: the number of sorted
+    tuples of each part count.  The basis holds no representative: the space
+    gathers them by rank from its tables of sorted tuples
+    (:meth:`FockSpace.tuples`), and keeps their weights in its pairing.
     """
 
     alpha: MultiIndex
-    reps: np.ndarray
-    offsets: tuple[tuple[int, int], ...]  # (start, stop) per part size, 1-based list
     radix: tuple[int, ...]  # number of sorted tuples per part size
 
     @property
     def dim(self) -> int:
-        return len(self.reps)
+        return math.prod(self.radix)
 
     def segment_ranks(self) -> list:
         """Per part size, the segment's lexicographic rank for every
-        representative; the scalar 0 where the part size has a single sorted
-        tuple."""
-        return _digits(self.radix)
+        representative: the mixed-radix digits of ``0 .. dim - 1``, most
+        significant first (``np.unravel_index``).  A block of one
+        representative, as every block on one grid point is, shares one zero
+        among its segments and skips the unravelling."""
+        if self.dim == 1:
+            return [np.zeros(1, dtype=np.intp)] * len(self.radix)
+        return list(np.unravel_index(np.arange(self.dim), self.radix))
 
     def compose(self, ranks, shape, start: int = 0) -> np.ndarray:
         """Positions, as an array of ``shape`` counted from ``start``, of the
@@ -309,25 +303,8 @@ class BlockBasis:
 
 
 def block_basis(alpha: MultiIndex, grid: GridSpace) -> BlockBasis:
-    offsets = []
-    start = 0
-    for m in alpha.multiplicities:
-        offsets.append((start, start + m))
-        start += m
-    segments = [_combinations(grid.size, m) for m in alpha.multiplicities]
-    radix = tuple(len(segment) for segment in segments)
-    dim = math.prod(radix)
-    reps = np.empty((dim, alpha.size), dtype=np.intp)
-    for (start, stop), segment, rank in zip(offsets, segments, _digits(radix)):
-        reps[:, start:stop] = segment[rank]
-    return BlockBasis(alpha=alpha, reps=reps, offsets=tuple(offsets), radix=radix)
-
-
-def _symmetric_dim(grid: GridSpace, level: int) -> int:
-    """Number of sorted ``level``-tuples of grid points."""
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    return math.comb(grid.size + level - 1, level)
+    radix = tuple([sorted_tuple_count(grid.size, m) for m in alpha.multiplicities])
+    return BlockBasis(alpha, radix)
 
 
 @dataclass
@@ -341,12 +318,12 @@ class SymmetricTensor:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (_symmetric_dim(self.grid, self.level),):
+        if self.values.shape != (sorted_tuple_count(self.grid.size, self.level),):
             raise ValueError("value array does not match the sorted-tuple basis")
 
     @classmethod
     def basis_element(cls, grid: GridSpace, level: int, idx: int) -> SymmetricTensor:
-        values = np.zeros(_symmetric_dim(grid, level))
+        values = np.zeros(sorted_tuple_count(grid.size, level))
         values[idx] = 1.0
         return cls(grid, level, values)
 
@@ -360,11 +337,11 @@ def _sort_rows(rows: np.ndarray) -> None:
         lo[:], hi[:] = np.minimum(lo, hi), np.maximum(lo, hi)
 
 
-# The size cap.  An export adds 36 bytes of peak RSS per exported entry at
-# G = 24 and 32, depth 4, and verify-moments with check_symmetry 38 to 40.  A
-# block adds 3 to 4 kB whatever its dimension (on one grid point, 3.0 kB at
-# depth 24 and 3.5 kB at depth 36, 0.15 kB more with check_symmetry).  Entries
-# and blocks together are held to the bytes of the entry limit, 0.9 GB.
+# The size cap.  An export adds 33 to 34 bytes of peak RSS per exported entry
+# at G = 24 and 32, depth 4, and verify-moments with check_symmetry 38 to 40.
+# A block adds about 1 kB whatever its dimension (0.98 kB on one grid point at
+# depth 24, 1.05 kB at depth 36; 4 kB while every block kept its basis).
+# Entries and blocks together are held to the bytes of the entry limit, 0.9 GB.
 _ENTRY_LIMIT = 20_000_000
 _BYTES_PER_ENTRY = 48
 _BYTES_PER_BLOCK = 4_000
@@ -377,7 +354,7 @@ def _count(size: int, depth: int, max_part: int) -> tuple[int, int, int]:
     one part size at a time, levels downwards to read those without it."""
     blocks, dims, sizes = [1] + [0] * depth, [1] + [0] * depth, [0] * (depth + 1)
     for k in range(1, min(max_part, depth) + 1):
-        choose = [math.comb(size + m - 1, m) for m in range(depth // k + 1)]
+        choose = [sorted_tuple_count(size, m) for m in range(depth // k + 1)]
         for n in range(depth, k - 1, -1):
             for m in range(1, n // k + 1):
                 below, c = n - k * m, choose[m]
@@ -419,6 +396,10 @@ class FockSpace:
     points): one sorted tuple of grid points per part size.  Their sums and
     the block count are counted before any block is listed, and a space
     whose operator would exceed the size cap raises ``ValueError`` there.
+
+    No state is kept per block: bases are built on each call, and
+    representatives gathered from one read-only table of sorted m-tuples per
+    part count m (:meth:`tuples`), which lives as long as the space.
     """
 
     def __init__(
@@ -451,14 +432,14 @@ class FockSpace:
             for n, alphas in self._blocks.items()
             for alpha in alphas
         }
-        choose = [math.comb(grid.size + m - 1, m) for m in range(depth + 1)]
+        choose = [sorted_tuple_count(grid.size, m) for m in range(depth + 1)]
         self._slices: dict[tuple[int, MultiIndex], slice] = {}
         stop = 0
         for key in self._weights:
             start = stop
             stop += math.prod(choose[m] for m in key[1].multiplicities)
             self._slices[key] = slice(start, stop)
-        self._bases: dict[MultiIndex, BlockBasis] = {}
+        self._tuples: dict[int, np.ndarray] = {}
 
     def blocks(self, n: int) -> tuple[MultiIndex, ...]:
         if not 0 <= n <= self.depth:
@@ -476,21 +457,32 @@ class FockSpace:
         return self._weights[(n, alpha)]
 
     def basis(self, alpha: MultiIndex) -> BlockBasis:
-        """Basis of block ``alpha``, built on first use and kept with the space."""
-        basis = self._bases.get(alpha)
-        if basis is None:
-            basis = self._bases[alpha] = block_basis(alpha, self.grid)
-        return basis
+        """Basis of block ``alpha``, built on each call and not kept."""
+        return block_basis(alpha, self.grid)
 
-    def at_depth(self, depth: int) -> FockSpace:
-        """The space on the same grid, measure and table, truncated at ``depth``.
+    def tuples(self, m: int) -> np.ndarray:
+        """The sorted m-tuples of grid points, one per row in lexicographic
+        order, that every segment of m parts gathers from: read-only, built
+        on first use and kept with the space."""
+        table = self._tuples.get(m)
+        if table is None:
+            count = sorted_tuple_count(self.grid.size, m)
+            tuples = itertools.combinations_with_replacement(range(self.grid.size), m)
+            flat = np.fromiter(itertools.chain.from_iterable(tuples), np.intp, count * m)
+            table = self._tuples[m] = flat.reshape(count, m)
+            table.flags.writeable = False
+        return table
 
-        A basis depends only on its block and the grid, so the two spaces
-        share one dict of bases: a basis built for either serves both.
-        """
-        space = FockSpace(self.grid, self.measure, self.table, depth)
-        space._bases = self._bases
-        return space
+    def representatives(self, alpha: MultiIndex) -> np.ndarray:
+        """Block ``alpha``'s representatives, one per row in layout order,
+        gathered on each call; a block of a single part size reads its table."""
+        if self.grid.size == 1 or not alpha.size:  # every coordinate is point 0, or none
+            return np.zeros((1, alpha.size), dtype=np.intp)
+        counts = [m for m in alpha.multiplicities if m]
+        if len(counts) == 1:  # its one segment's ranks run over the whole table
+            return self.tuples(counts[0])
+        ranks = zip(alpha.multiplicities, self.basis(alpha).segment_ranks())
+        return np.hstack([self.tuples(m)[rank] for m, rank in ranks])
 
     @cached_property
     def flat_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -505,10 +497,10 @@ class FockSpace:
         level = np.empty(self.dim)
         rep = np.empty(self.dim)
         for (n, alpha), span in self._slices.items():
-            basis = self.basis(alpha)
+            reps = self.representatives(alpha)
             level[span] = math.factorial(n) * self._weights[(n, alpha)]
-            mult = _multiplicity(basis.reps, basis.offsets, self.grid.size)
-            rep[span] = mult * _weight_product(basis.reps, self.grid.weights)
+            mult = _multiplicity(reps, alpha.multiplicities, self.grid.size)
+            rep[span] = mult * _weight_product(reps, self.grid.weights)
         return level, rep
 
     def level_start(self, n: int) -> int:
@@ -553,9 +545,11 @@ class FockSpace:
             raise ValueError("grid mismatch")
         v = self.zero()
         for alpha in self.blocks(f.level):
-            basis = self.basis(alpha)
-            repeats = [k for k, (s, e) in enumerate(basis.offsets, start=1) for _ in range(s, e)]
-            expanded = np.repeat(basis.reps, repeats, axis=1)
+            if alpha.max_part <= 1:  # the all-singletons block: f's own layout
+                v[f.level, alpha][:] = f.values
+                continue
+            repeats = [k for k, m in alpha.parts() for _ in range(m)]
+            expanded = np.repeat(self.representatives(alpha), repeats, axis=1)
             _sort_rows(expanded)
             v[f.level, alpha][:] = f.values[segment_rank(expanded, self.grid.size)]
         return v

@@ -52,7 +52,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .fock import BlockBasis, ExtendedFockVector, FockSpace, inner_product, segment_rank
+from .fock import ExtendedFockVector, FockSpace, inner_product, segment_rank, sorted_tuple_count
 from .measures import JumpMeasure, TestFunction
 
 # The builtin SHA-256 module, as the standard library's ``random`` takes its
@@ -88,9 +88,10 @@ class FieldOperator:
     ``rows``, ``cols`` and ``vals`` hold the annihilation part: entry
     ``vals[i]`` maps flat position ``cols[i]`` (level n) to flat position
     ``rows[i]`` (level n - 1); no (row, column) pair repeats and no value
-    is zero.  ``diag`` holds the neutral part at every flat position, exact
-    zeros included (the vacuum's ``+0.0`` among them); a diagonal of any
-    other length is refused.  The creation part is never stored: it maps
+    is zero; triplet arrays of unequal lengths are refused.  ``diag`` holds
+    the neutral part at every flat position, exact zeros included (the
+    vacuum's ``+0.0`` among them); a diagonal of any other length is
+    refused.  The creation part is never stored: it maps
     ``rows[i]`` to ``cols[i]`` with the value :func:`creation` derives from
     ``vals[i]`` where it is used.
     """
@@ -103,8 +104,12 @@ class FieldOperator:
     diag: np.ndarray
 
     def __post_init__(self):
-        if self.diag.shape != (self.space.dim,):
-            raise ValueError("diagonal does not match the space's flat layout")
+        if not len(self.rows) == len(self.cols) == len(self.vals):
+            raise ValueError(
+                f"annihilation triplets differ in length: {len(self.rows)} rows, "
+                f"{len(self.cols)} columns, {len(self.vals)} values"
+            )
+        _check_diagonal(self.space, self.diag)
 
     def apply(self, v: ExtendedFockVector) -> ExtendedFockVector:
         """Matrix-vector product.
@@ -133,6 +138,11 @@ class FieldOperator:
         return ExtendedFockVector(self.space, out)
 
 
+def _check_diagonal(space: FockSpace, diag: np.ndarray) -> None:
+    if diag.shape != (space.dim,):
+        raise ValueError("diagonal does not match the space's flat layout")
+
+
 def _check_phi(phi: TestFunction, space: FockSpace) -> None:
     if phi.grid != space.grid:
         raise ValueError("test function lives on a different grid")
@@ -154,12 +164,6 @@ def check_weights(space: FockSpace) -> None:
             f"pairing weights from {low} to {high} leave the normal doubles; "
             "rescale the grid weights or lower the depth"
         )
-
-
-def _part(basis: BlockBasis, k: int) -> np.ndarray:
-    """The size-k segment of every representative, one sorted tuple per row."""
-    start, stop = basis.offsets[k - 1] if k <= basis.alpha.max_part else (0, 0)
-    return basis.reps[:, start:stop]
 
 
 def _inserted(segment: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -259,7 +263,7 @@ def neutral(phi: TestFunction, space: FockSpace) -> np.ndarray:
         for k, m in alpha.parts():
             if m not in sums:
                 tuples = itertools.combinations_with_replacement(phi.values, m)
-                count = math.comb(space.grid.size + m - 1, m)
+                count = sorted_tuple_count(space.grid.size, m)
                 sums[m] = np.fromiter(map(math.fsum, tuples), float, count)
             total = total + a[k - 1] * sums[m][ranks[k - 1]]
         diag[space.block_slice(level, alpha)] = total
@@ -314,9 +318,8 @@ def annihilation(phi: TestFunction, space: FockSpace) -> tuple[np.ndarray, np.nd
         contraction = n * space.mass * np.array(space.grid.weights) * values
         for dst_alpha in space.blocks(n - 1):
             dst = space.basis(dst_alpha)
-            ranks = [
-                r if base == 1 else r[:, None] for r, base in zip(dst.segment_ranks(), dst.radix)
-            ]
+            # ranks per part size, and rank 0 for the part size above the largest
+            digits = dst.segment_ranks() + [np.zeros(dst.dim, np.intp)]
             dst_start = space.block_slice(n - 1, dst_alpha).start
             targets = np.arange(dst_start, dst_start + dst.dim)
             for k in range(1, dst_alpha.max_part + 2):
@@ -330,21 +333,21 @@ def annihilation(phi: TestFunction, space: FockSpace) -> tuple[np.ndarray, np.nd
                 src_start = space.block_slice(n, src_alpha).start
                 step = max(1, _ROW_CHUNK // (width * (dst_alpha.size + 1)))
                 for lo, hi in _pieces(0, dst.dim, step):
-                    src_ranks = [r if base == 1 else r[lo:hi] for r, base in zip(ranks, dst.radix)]
-                    src_ranks += [0] * (src_alpha.max_part - len(ranks))
+                    src_ranks = [r[lo:hi, None] for r in digits]
                     # the coordinate that moves into the size-k part: grid point i,
                     # or coordinate q of the size-(k-1) part, which leaves it
-                    moved = np.arange(size) if k == 1 else _part(dst, k - 1)[lo:hi]
-                    if k > 1 and src.radix[k - 2] > 1:  # a single sorted tuple has rank 0
-                        src_ranks[k - 2] = segment_rank(_removed(moved), size)
-                    if src.radix[k - 1] > 1:
-                        upper = _inserted(_part(dst, k)[lo:hi], moved)
-                        src_ranks[k - 1] = segment_rank(upper, size)
                     if k == 1:
+                        moved = np.arange(size)
                         piece = np.repeat(contraction[None, :], hi - lo, axis=0).ravel()
                     else:
+                        moved = space.tuples(dst_alpha.count(k - 1))[digits[k - 2][lo:hi]]
                         terms = (n / k) * b[k - 1] * values[moved].ravel()
                         piece = _run_sums(moved, terms, size)
+                        if src.radix[k - 2] > 1:  # a single sorted tuple has rank 0
+                            src_ranks[k - 2] = segment_rank(_removed(moved), size)
+                    if src.radix[k - 1] > 1:
+                        lower = space.tuples(dst_alpha.count(k))[digits[k - 1][lo:hi]]
+                        src_ranks[k - 1] = segment_rank(_inserted(lower, moved), size)
                     index = src.compose(src_ranks, (hi - lo, width), src_start)
                     # Drop the piece's exact zeros as it is written.
                     kept = piece.nonzero()[0]
@@ -410,9 +413,11 @@ def symmetry_defect(space: FockSpace, diag: np.ndarray) -> float:
     entry (r, c) times the pairing weight of r.  The neutral part ``diag``
     (a :func:`neutral` diagonal) is diagonal, so each pairing p below the
     truncation level meets only itself, with gap ``p - p``: this reads an
-    exact zero by construction (NaN for an infinite entry).  A commutator
-    check is the planned replacement.
+    exact zero by construction (NaN for an infinite entry).  A diagonal of
+    any other length than the space's is refused.  A commutator check is the
+    planned replacement.
     """
+    _check_diagonal(space, diag)
     low = space.level_start(space.depth)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are results here
         pairing = np.multiply(*space.flat_weights)[:low] * diag[:low]

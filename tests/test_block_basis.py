@@ -1,10 +1,11 @@
-"""The array block bases against a tuple-by-tuple reference.
+"""The block bases and representatives against a tuple-by-tuple reference.
 
 The reference takes its representatives from the ``itertools``
 enumeration of ``conftest.block_reps`` and counts rearrangements with
 ``Counter``, one tuple at a time, as a direct reading of the definitions;
-the library builds the same bases from per-segment combination arrays,
-run lengths and binomial ranks.
+the library gathers the same representatives from the space's tables of
+sorted tuples by segment rank, and counts with run lengths and binomial
+ranks.
 """
 from __future__ import annotations
 
@@ -50,28 +51,33 @@ def space_on(grid: GridSpace) -> FockSpace:
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"G{g.size}")
 @pytest.mark.parametrize("alpha", BLOCKS, ids=alpha_id)
 def test_matches_reference(alpha, grid):
-    basis = block_basis(alpha, grid)
-    reps = block_reps(alpha, grid)
-    assert list(map(tuple, basis.reps.tolist())) == reps
-    assert basis.reps.shape == (len(reps), alpha.size)
     space = space_on(grid)
+    basis = space.basis(alpha)
+    reps = block_reps(alpha, grid)
+    got = space.representatives(alpha)
+    assert list(map(tuple, got.tolist())) == reps
+    assert got.shape == (len(reps), alpha.size)
     rep = space.flat_weights[1][space.block_slice(alpha.degree, alpha)]
     assert rep.tobytes() == rep_weights(alpha, grid).tobytes()
     assert basis.dim == len(reps)
-    ranks = [segment_rank(basis.reps[:, s:e], grid.size) for s, e in basis.offsets]
+    ranks = [segment_rank(got[:, s:e], grid.size) for s, e in segment_bounds(alpha)]
     assert np.array_equal(basis.compose(ranks, basis.dim), np.arange(basis.dim))
     composed = basis.compose(basis.segment_ranks(), basis.dim)
     assert np.array_equal(composed, np.arange(basis.dim))
+    # each segment is gathered from the table of its part count at its rank
+    segments = zip(segment_bounds(alpha), alpha.multiplicities, basis.segment_ranks())
+    for (s, e), m, rank in segments:
+        assert np.array_equal(space.tuples(m)[rank], got[:, s:e])
 
 
 @pytest.mark.parametrize("alpha", [MultiIndex((2, 0, 1)), MultiIndex((1, 2)), MultiIndex((3,))])
 def test_value_reads_unsorted_tuples(alpha):
     grid = GRIDS[2]
-    basis = block_basis(alpha, grid)
-    values = np.random.default_rng(4).normal(0, 1, basis.dim)
+    reps = space_on(grid).representatives(alpha)
+    values = np.random.default_rng(4).normal(0, 1, len(reps))
     shuffle = np.random.default_rng(5)
-    for i, rep in enumerate(basis.reps.tolist()):
-        segments = [list(rep[s:e]) for s, e in basis.offsets]
+    for i, rep in enumerate(reps.tolist()):
+        segments = [list(rep[s:e]) for s, e in segment_bounds(alpha)]
         for segment in segments:
             shuffle.shuffle(segment)
         assert at(values, alpha, grid, tuple(itertools.chain.from_iterable(segments))) == values[i]
@@ -119,9 +125,8 @@ def test_symmetric_basis_is_the_all_singletons_block(grid):
     rng = np.random.default_rng(9)
     for n in range(5):
         singletons = MultiIndex((n,))
-        assert list(map(tuple, block_basis(singletons, grid).reps.tolist())) == sorted_tuples(
-            grid.size, n
-        )
+        reps = space_on(grid).representatives(singletons)
+        assert list(map(tuple, reps.tolist())) == sorted_tuples(grid.size, n)
         f = SymmetricTensor(grid, n, rng.normal(0, 1, symmetric_dim(n, grid)))
         assert restriction(f, singletons).tobytes() == f.values.tobytes()
     with pytest.raises(ValueError, match="level must be nonnegative"):
@@ -138,6 +143,6 @@ def test_symmetric_tensor_rejects_negative_level():
 
 def test_multiplicity_past_int64_factorials():
     # 21 distinct coordinates: 21! exceeds int64, the count must stay exact
-    assert _multiplicity(np.arange(21)[None, :], ((0, 21),), 21).tolist() == [
+    assert _multiplicity(np.arange(21)[None, :], (21,), 21).tolist() == [
         float(math.factorial(21))
     ]

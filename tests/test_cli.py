@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -876,10 +877,10 @@ def test_export_peak_per_entry_within_refusal_estimate(tmp_path):
 def test_export_peak_per_block_within_refusal_estimate(tmp_path):
     # one grid point, gamma-40, depth 24: 7,338 blocks of one representative
     # each, so the peak is the per-block cost, which the size refusal quotes
-    # as _BYTES_PER_BLOCK; measured, it is 3.0 kB a block here (4.6 kB with
-    # per-pair assembly lists) and grows slowly with the depth, to 3.4 kB at
-    # depth 34; at depth 39, the deepest the cap admits, the estimate's
-    # entry term adds 0.96 kB a block
+    # as _BYTES_PER_BLOCK; measured, it is 0.98 kB a block here (2.0 kB while
+    # every block kept its basis, 4.6 kB with per-pair assembly lists) and
+    # grows slowly with the depth, to 1.05 kB at depth 36; at depth 39, the
+    # deepest the cap admits, the estimate's entry term adds 0.96 kB a block
     path = write(tmp_path, "deep.cfg", GAMMA_CFG.replace("depth 9", "depth 24"))
     out = tmp_path / "operator.txt"
     code, added = _fresh_python(_EXPORT_PEAK_PROBE, path, str(out)).split()
@@ -962,14 +963,27 @@ def test_defect_check_assembles_deep_annihilation_once(tmp_path, monkeypatch, ca
     assert [space.depth for _phi, space in calls] == [2, 4]
 
 
-def test_defect_check_builds_each_basis_once(tmp_path, monkeypatch, capsys):
-    # the deep defect space shares the moment space's bases
-    calls = _counting(monkeypatch, [fock], "block_basis")
+def test_defect_check_builds_each_table_once_per_space(tmp_path, monkeypatch, capsys):
+    # the moment space (depth 2) and the defect space (depth 4) each hand out
+    # one table of sorted tuples per part count; only the defect space has
+    # blocks of three or four parts
+    handed = []  # (space, part count, table) at every read
+    tuples = fock.FockSpace.tuples
+
+    def recorded(space, m):
+        handed.append((space, m, tuples(space, m)))
+        return handed[-1][2]
+
+    monkeypatch.setattr(fock.FockSpace, "tuples", recorded)
     path = write(tmp_path, "sym.cfg", TWO_POINT_CFG + "check_symmetry 1\n")
     assert main(["verify-moments", "--config", path]) == 0
     capsys.readouterr()
-    alphas = [alpha for alpha, _grid in calls]
-    assert alphas and len(alphas) == len(set(alphas))
+    tables = {(id(space), m): set() for space, m, _ in handed}
+    for space, m, table in handed:
+        tables[(id(space), m)].add(id(table))
+    assert all(len(ids) == 1 for ids in tables.values())
+    built = Counter(m for _space, m in tables)
+    assert (built[1], built[2], built[3], built[4]) == (2, 2, 1, 1)
 
 
 def test_config_holds_each_input_once(tmp_path):

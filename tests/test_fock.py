@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,7 +16,10 @@ from levyfock import (
     GridSpace,
     JumpMeasure,
     MultiIndex,
+    SymmetricTensor,
+    TestFunction,
     block_weight,
+    full,
     inner_product,
     level_inner_product,
     partitions,
@@ -432,22 +436,63 @@ class TestFockSpace:
         assert shallow.space.level_start(3) == shallow.space.dim
         assert level_inner_product(deep, shallow, 0) == 1.0
 
-    def test_bases_live_with_their_space(self, nu2):
+    def test_tables_are_read_only(self, nu2):
         space = FockSpace(GridSpace((0.7, 1.1, 1.3)), nu2, stieltjes(nu2, 2), 3)
-        alpha = MultiIndex((1, 1))
-        assert space.basis(alpha) is space.basis(alpha)
-        basis = weakref.ref(space.basis(alpha))
+        table = space.tuples(2)
+        assert table.tolist() == [[0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [2, 2]]
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+        # a block of a single part size hands out its table itself
+        assert space.representatives(MultiIndex((2,))) is table
+
+    def test_space_builds_one_table_per_part_count(self, nu2, monkeypatch):
+        # repeated assemblies and embeddings read every part count's table
+        # many times; each read hands out the one table built on first use
+        handed = []  # (part count, table) at every read, the tables kept alive
+        tuples = FockSpace.tuples
+
+        def recorded(space, m):
+            handed.append((m, tuples(space, m)))
+            return handed[-1][1]
+
+        monkeypatch.setattr(FockSpace, "tuples", recorded)
+        grid = GridSpace((0.7, 1.1, 1.3))
+        space = FockSpace(grid, nu2, stieltjes(nu2, 2), 4)
+        phi = TestFunction(grid, (0.9, -0.4, 1.2))
+        for _ in range(2):
+            full(phi, space)
+            space.embed_symmetric(SymmetricTensor(grid, 3, np.ones(symmetric_dim(3, grid))))
+        tables: dict[int, set[int]] = {}
+        for m, table in handed:
+            tables.setdefault(m, set()).add(id(table))
+        assert {1, 2, 3, 4} <= set(tables) and len(handed) > 2 * len(tables)
+        assert all(len(ids) == 1 for ids in tables.values())
+
+    def test_tables_die_with_their_space(self, nu2):
+        grid = GridSpace((0.7, 1.1, 1.3))
+        space = FockSpace(grid, nu2, stieltjes(nu2, 2), 3)
+        full(TestFunction(grid, (0.9, -0.4, 1.2)), space)
+        table = weakref.ref(space.tuples(2))
         del space
         gc.collect()
-        assert basis() is None
+        assert table() is None
 
-    def test_space_at_another_depth_shares_bases(self, nu2):
-        space = FockSpace(GridSpace((0.7, 1.1, 1.3)), nu2, stieltjes(nu2, 2), 2)
-        deep = space.at_depth(4)
-        assert (deep.grid, deep.measure, deep.table) == (space.grid, space.measure, space.table)
-        assert deep.dim == FockSpace(space.grid, nu2, space.table, 4).dim
-        for alpha in (MultiIndex((1, 1)), MultiIndex((2, 1))):
-            assert deep.basis(alpha) is space.basis(alpha)
+    def test_space_keeps_little_per_block(self, gamma40):
+        # one grid point, depth 20: after full, the space keeps its pairing
+        # weights (16 bytes a block) and one small table per part count, where
+        # a kept basis per block held about 790 bytes a block
+        grid = GridSpace((1.3,))
+        space = FockSpace(grid, gamma40, stieltjes(gamma40, 20), 20)
+        phi = TestFunction(grid, (0.9,))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            full(phi, space)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 100 * len(space.block_keys())
 
     @pytest.mark.parametrize("grid_size,depth", [(1, 8), (2, 5), (4, 4)])
     def test_closed_form_layout_matches_enumeration(self, gamma40, grid_size, depth):

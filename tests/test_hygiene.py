@@ -1,8 +1,8 @@
 """Source hygiene, read with ``ast``: no unused imports, no private name
-the package never reads, the shared test oracles import only the package's
-public names, the chaos oracle loads no block code at run time, and no
-module of the package reaches ``numpy.linalg`` or imports ``fractions`` or
-``decimal``."""
+the package never reads, no process-wide cache keyed by anything but
+integers, the shared test oracles import only the package's public names,
+the chaos oracle loads no block code at run time, and no module of the
+package reaches ``numpy.linalg`` or imports ``fractions`` or ``decimal``."""
 from __future__ import annotations
 
 import ast
@@ -86,6 +86,57 @@ def test_package_reads_every_private_name():
     sources = sorted((ROOT / "src" / "levyfock").glob("*.py"))
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sources]
     assert unread_private_names(trees) == []
+
+
+CACHES = {"lru_cache", "cache"}
+INTEGER_ANNOTATIONS = {"int", "int | None"}
+
+
+def cached_non_integer_parameters(tree: ast.Module) -> tuple[list[str], list[str]]:
+    """Functions decorated with ``functools.lru_cache`` or ``functools.cache``,
+    and those of their parameters not annotated as an integer (or an
+    optional one), as ``name(parameter: annotation)``."""
+    cached, bad = [], []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(ast.unparse(d).split(".")[-1] in CACHES for d in decorators):
+            continue
+        cached.append(node.name)
+        args = node.args
+        named = [(a, "") for a in args.posonlyargs + args.args + args.kwonlyargs]
+        starred = [(a, "*") for a in (args.vararg,) if a] + [(a, "**") for a in (args.kwarg,) if a]
+        for arg, star in named + starred:
+            annotation = ast.unparse(arg.annotation) if arg.annotation else None
+            if star or annotation not in INTEGER_ANNOTATIONS:
+                bad.append(f"{node.name}({star}{arg.arg}: {annotation})")
+    return cached, bad
+
+
+def test_non_integer_cache_key_detected():
+    sample = ast.parse(
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef a(n: int, cap: int | None = None): ...\n"
+        "@functools.lru_cache\ndef b(grid: GridSpace, m: int): ...\n"
+        "@cache\ndef c(m, *rest: int): ...\n"
+        "def d(grid: GridSpace): ...\n"
+    )
+    assert cached_non_integer_parameters(sample) == (
+        ["a", "b", "c"],
+        ["b(grid: GridSpace)", "c(m: None)", "c(*rest: int)"],
+    )
+
+
+def test_package_caches_are_keyed_by_integers():
+    # a process-wide cache keyed by a grid or a space would keep them alive
+    # for the whole process; per-space state lives on the space
+    cached = []
+    for path in sorted((ROOT / "src" / "levyfock").glob("*.py")):
+        names, bad = cached_non_integer_parameters(ast.parse(path.read_text(encoding="utf-8")))
+        assert bad == [], path.name
+        cached += names
+    assert {"partitions", "sorted_tuple_count"} <= set(cached)
 
 
 def test_conftest_imports_only_public_names():

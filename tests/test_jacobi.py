@@ -511,6 +511,20 @@ class TestFullOperator:
             with pytest.raises(ValueError, match="diagonal does not match"):
                 FieldOperator(space, phi, op.rows, op.cols, op.vals, diag)
 
+    def test_triplets_of_unequal_lengths_refused(self):
+        # two points, three atoms, depth 3 (24 entries): with one column
+        # short, apply failed inside numpy on operands of shapes (24,) and (23,)
+        measure = JumpMeasure((-1.0, 0.5, 2.0), (0.5, 1.0, 0.7))
+        grid = GridSpace((0.7, 1.1))
+        phi = TestFunction(grid, (0.9, -0.4))
+        space = FockSpace(grid, measure, stieltjes(measure, 3), 3)
+        op = full(phi, space)
+        assert len(op.vals) == 24
+        rows, cols, vals = op.rows, op.cols, op.vals
+        for triplets in ((rows, cols[:-1], vals), (rows[1:], cols, vals), (rows, cols, vals[:-1])):
+            with pytest.raises(ValueError, match="annihilation triplets differ in length"):
+                FieldOperator(space, phi, *triplets, op.diag)
+
     def test_build_and_export_peak_near_what_it_stores(self):
         # G = 6, D = 4, 2,534 exported entries.  The operator stores 24 bytes
         # per annihilation entry, which also serves its creation entry, and 8
@@ -706,6 +720,15 @@ class TestSymmetryAndAdjointness:
         for wrong in (plus[1:], np.append(plus, 1.0)):
             with pytest.raises(ValueError, match="annihilation entries"):
                 adjoint_defect(space, minus, wrong)
+
+    def test_symmetry_defect_refuses_a_diagonal_of_another_length(self, random_setup):
+        # a diagonal in the old dim - 1 layout, without the vacuum's entry,
+        # and one 5 entries too long both read 0.0
+        _, _, space, phi = random_setup
+        diag = neutral(phi, space)
+        for wrong in (diag[1:], np.append(diag, np.ones(5))):
+            with pytest.raises(ValueError, match="diagonal does not match the space's flat layout"):
+                symmetry_defect(space, wrong)
 
     @pytest.mark.parametrize("where", ["vals", "diag"])
     def test_infinite_entry_gives_a_non_finite_defect(self, random_setup, where):
