@@ -8,29 +8,29 @@ are kept only on representative tuples (coordinates sorted inside each
 group, groups laid out in increasing part size); inner products restore
 the full tuple sums through permutation counts.
 
-A vector of the space is one flat array: blocks follow each other in
-level order, each level's blocks in reverse-lexicographic multiplicity
-order, and each block holds its representatives in lexicographic tuple
-order.  The space owns that layout, one slice per block.  It counts the
-blocks, their closed-form dimensions and the operator's entry bound before
-listing any block, so an oversize space costs no enumeration to refuse.
-It also owns the pairing: one weight per flat
-position, built on first use and read by every inner product, defect
-and the creation transpose; spaces on one grid and table share the
-layout of their common levels.  A block basis holds no array: a
-representative's position is the mixed-radix number, in part-size order,
-of each segment's lexicographic rank, and that rank is a sum of binomial
-coefficients, so whole arrays of tuples are ranked at once.  Block values
-are plain arrays in that order (a vector's ``v[n, alpha]`` view).  The
-representatives themselves are gathered by segment rank from one
-read-only table of sorted m-tuples per part count m, which the space
-builds on first use and frees with itself; nothing is kept per block.  A
-plain symmetric level-n tensor is stored in the layout of the
+A vector of the space is one flat array: blocks follow each other in level
+order, each level's blocks in reverse-lexicographic multiplicity order,
+and each block holds its representatives in lexicographic tuple order.  The
+space owns that layout and keeps one slice per block, nothing else; its
+blocks die with it.  It counts the blocks, their closed-form dimensions and
+the operator's entry bound before listing any block, so an oversize space
+costs no enumeration to refuse.  It also owns the pairing: one weight per
+flat position, built on first use from block weights formed there, and
+read by every inner product, defect and the creation transpose; spaces on
+one grid and table share the layout of their common levels.  A block basis
+holds no array: a representative's position is the mixed-radix number, in
+part-size order, of each segment's lexicographic rank, and that rank is a
+sum of binomial coefficients, so whole arrays of tuples are ranked at
+once.  Block values are plain arrays in that order (a vector's
+``v[n, alpha]`` view).  The representatives themselves are gathered by
+segment rank from one read-only table of sorted m-tuples per part count m,
+which the space builds on first use and frees with itself; none is kept
+per block.  A plain symmetric level-n tensor is stored in the layout of the
 all-singletons block of level n; the space embeds it in every block of
-level n by one gather.  Summations
-run in enumeration order, so vectors, operators and reports are
-bit-stable across runs.  All inputs are immutable, so concurrent use is
-safe; results are identical to sequential execution.
+level n by one gather.  Summations run in enumeration order, so vectors,
+operators and reports are bit-stable across runs.  All inputs are
+immutable, so concurrent use is safe; results are identical to sequential
+execution.
 """
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiIndex:
     """Multiplicity encoding of an integer partition.
 
@@ -145,7 +145,6 @@ def _multiplicities(n: int, k: int, cap: int) -> Iterator[tuple[int, ...]]:
             yield (m,) + rest
 
 
-@lru_cache(maxsize=None)
 def partitions(n: int, max_part: int | None = None) -> tuple[MultiIndex, ...]:
     """All multi-indices of degree ``n``, largest part capped if requested.
 
@@ -303,7 +302,8 @@ class BlockBasis:
 
 
 def block_basis(alpha: MultiIndex, grid: GridSpace) -> BlockBasis:
-    radix = tuple([sorted_tuple_count(grid.size, m) for m in alpha.multiplicities])
+    size = grid.size
+    radix = tuple([sorted_tuple_count(size, m) for m in alpha.multiplicities])
     return BlockBasis(alpha, radix)
 
 
@@ -339,12 +339,11 @@ def _sort_rows(rows: np.ndarray) -> None:
 
 # The size cap.  An export adds 33 to 34 bytes of peak RSS per exported entry
 # at G = 24 and 32, depth 4, and verify-moments with check_symmetry 38 to 40.
-# A block adds about 1 kB whatever its dimension (0.98 kB on one grid point at
-# depth 24, 1.05 kB at depth 36; 4 kB while every block kept its basis).
-# Entries and blocks together are held to the bytes of the entry limit, 0.9 GB.
+# A block adds 746, 786, 831 and 871 bytes on one grid point at depths 24, 30,
+# 36 and 44.  Entries and blocks together are held to the entry limit's 0.9 GB.
 _ENTRY_LIMIT = 20_000_000
 _BYTES_PER_ENTRY = 48
-_BYTES_PER_BLOCK = 4_000
+_BYTES_PER_BLOCK = 900
 
 
 def _count(size: int, depth: int, max_part: int) -> tuple[int, int, int]:
@@ -397,9 +396,12 @@ class FockSpace:
     the block count are counted before any block is listed, and a space
     whose operator would exceed the size cap raises ``ValueError`` there.
 
-    No state is kept per block: bases are built on each call, and
-    representatives gathered from one read-only table of sorted m-tuples per
-    part count m (:meth:`tuples`), which lives as long as the space.
+    Per block only its slice is kept, in one mapping per level from
+    multi-index to slice.  Weights are formed on each read, so
+    :attr:`flat_weights` and :meth:`weight` refuse one past the doubles.
+    Bases are built on each call, and representatives gathered from one
+    read-only table of sorted m-tuples per part count m (:meth:`tuples`).
+    All of it lives and dies with the space.
     """
 
     def __init__(
@@ -424,37 +426,33 @@ class FockSpace:
         self.mass = table.norm_sq[0]
         blocks, self.dim, self._entry_bound = _count(grid.size, depth, self.max_part)
         _check_size(self._entry_bound, blocks)
-        self._blocks = {
-            n: partitions(n, max_part=self.max_part) for n in range(depth + 1)
-        }
-        self._weights = {
-            (n, alpha): block_weight(alpha, table)
-            for n, alphas in self._blocks.items()
-            for alpha in alphas
-        }
         choose = [sorted_tuple_count(grid.size, m) for m in range(depth + 1)]
-        self._slices: dict[tuple[int, MultiIndex], slice] = {}
+        self._slices: dict[int, dict[MultiIndex, slice]] = {}
         stop = 0
-        for key in self._weights:
-            start = stop
-            stop += math.prod(choose[m] for m in key[1].multiplicities)
-            self._slices[key] = slice(start, stop)
+        for n in range(depth + 1):
+            level = self._slices[n] = {}
+            for alpha in partitions(n, max_part=self.max_part):
+                start = stop
+                stop += math.prod(choose[m] for m in alpha.multiplicities)
+                level[alpha] = slice(start, stop)
         self._tuples: dict[int, np.ndarray] = {}
 
     def blocks(self, n: int) -> tuple[MultiIndex, ...]:
         if not 0 <= n <= self.depth:
             raise ValueError(f"level {n} outside the truncation of depth {self.depth}")
-        return self._blocks[n]
+        return tuple(self._slices[n])
 
     def block_keys(self) -> list[tuple[int, MultiIndex]]:
-        return [(n, alpha) for n in range(self.depth + 1) for alpha in self._blocks[n]]
+        return [(n, alpha) for n, level in self._slices.items() for alpha in level]
 
     def block_slice(self, n: int, alpha: MultiIndex) -> slice:
         """Positions of the block's representatives in the flat layout."""
-        return self._slices[(n, alpha)]
+        return self._slices[n][alpha]
 
     def weight(self, n: int, alpha: MultiIndex) -> float:
-        return self._weights[(n, alpha)]
+        """The block's :func:`block_weight`, formed on each call."""
+        self.block_slice(n, alpha)  # the block must lie in the space
+        return block_weight(alpha, self.table)
 
     def basis(self, alpha: MultiIndex) -> BlockBasis:
         """Basis of block ``alpha``, built on each call and not kept."""
@@ -496,9 +494,9 @@ class FockSpace:
         """
         level = np.empty(self.dim)
         rep = np.empty(self.dim)
-        for (n, alpha), span in self._slices.items():
-            reps = self.representatives(alpha)
-            level[span] = math.factorial(n) * self._weights[(n, alpha)]
+        for n, alpha in self.block_keys():
+            span, reps = self.block_slice(n, alpha), self.representatives(alpha)
+            level[span] = math.factorial(n) * self.weight(n, alpha)
             mult = _multiplicity(reps, alpha.multiplicities, self.grid.size)
             rep[span] = mult * _weight_product(reps, self.grid.weights)
         return level, rep

@@ -95,7 +95,8 @@ def stieltjes(measure: JumpMeasure, depth: int) -> RecurrenceTable:
     A measure with ``m`` atoms carries exactly ``m`` orthogonal
     polynomials, so ``depth`` may not exceed the atom count.  A collapse of
     a squared-norm ratio to the round-off floor is reported as degeneracy
-    rather than silently returned.
+    rather than silently returned, and a polynomial whose values or squared
+    norm overflow the doubles is refused by its degree, with no warning.
 
     Parameters
     ----------
@@ -113,21 +114,28 @@ def stieltjes(measure: JumpMeasure, depth: int) -> RecurrenceTable:
         )
     s = np.asarray(measure.locations, dtype=float)
     w = np.asarray(measure.weights, dtype=float)
-    floor = _DEGENERACY_RTOL * float(np.max(s * s))
-
     a: list[float] = []
     b: list[float] = [0.0]
     norm_sq: list[float] = []
-    p_prev = np.zeros_like(s)
-    p_cur = np.ones_like(s)
-    for n in range(depth):
-        ns = float(np.dot(w, p_cur * p_cur))
-        if n > 0:
-            ratio = ns / norm_sq[-1]
-            if ratio <= floor:
-                raise ValueError(f"measure degenerate at depth {n}")
-            b.append(ratio)
-        norm_sq.append(ns)
-        a.append(float(np.dot(w, s * p_cur * p_cur)) / ns)
-        p_prev, p_cur = p_cur, (s - a[n]) * p_cur - (b[n] if n > 0 else 0.0) * p_prev
+    # an overflow past the doubles is refused below, naming its degree
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = _DEGENERACY_RTOL * float(np.max(s * s))
+        p_prev = np.zeros_like(s)
+        p_cur = np.ones_like(s)
+        for n in range(depth):
+            ns = float(np.dot(w, p_cur * p_cur))
+            first = float(np.dot(w, s * p_cur * p_cur))
+            if not (math.isfinite(ns) and math.isfinite(first)):
+                raise ValueError(
+                    f"values or squared norm of the degree-{n} orthogonal polynomial "
+                    f"overflow the doubles; lower the depth to at most {n}"
+                )
+            if n > 0:
+                ratio = ns / norm_sq[-1]
+                if ratio <= floor:
+                    raise ValueError(f"measure degenerate at depth {n}")
+                b.append(ratio)
+            norm_sq.append(ns)
+            a.append(first / ns)
+            p_prev, p_cur = p_cur, (s - a[n]) * p_cur - (b[n] if n > 0 else 0.0) * p_prev
     return RecurrenceTable(tuple(a), tuple(b), tuple(norm_sq))

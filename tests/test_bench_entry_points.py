@@ -2,6 +2,10 @@
 fail here, in the test suite, rather than only inside a benchmark run."""
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +55,26 @@ def test_space_lists_blocks_through_partitions(monkeypatch):
     space = fock.FockSpace(GridSpace((0.7, 1.1)), measure, stieltjes(measure, 3), 4)
     assert calls == [(n, 3) for n in range(5)]
     assert [space.blocks(n) for n in range(5)] == [original(n, 3) for n in range(5)]
+
+
+def test_setup_probe_runs_every_workload(monkeypatch, tmp_path):
+    # the probe behind setup_s reads the configuration, the table and the
+    # space by name; run it as the benchmark does, on this checkout's src
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    src = PERFBENCH.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    for name, workload in workloads.WORKLOADS.items():
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(workload.generate(11).config_text(), encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(PERFBENCH / "probe.py"), str(config)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, (name, result.stderr)
+        imported = Path(json.loads(result.stdout.splitlines()[-1])["levyfock"]).resolve()
+        assert imported == src / "levyfock" / "__init__.py", name

@@ -386,6 +386,20 @@ def test_oracle_overflow_refused_with_one_error_line(tmp_path, phi, order):
     assert line.startswith(f"error: {order} leaves the doubles")
 
 
+def test_recurrence_overflow_exits_2_with_one_line(tmp_path):
+    # a fresh interpreter shows any numpy RuntimeWarning on stderr
+    path = write(tmp_path, "deep.cfg", GAMMA_CFG.replace("order 40", "order 180").replace(
+        "depth 9", "depth 60"
+    ))
+    result = _fresh_cli("recurrence", path, timeout=30)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: values or squared norm of the degree-55 orthogonal polynomial overflow the "
+        "doubles; lower the depth to at most 55"
+    ]
+
+
 @pytest.mark.parametrize("command", ["oracle-check", "export-operator"])
 def test_block_weight_overflow_exits_2(tmp_path, capsys, command):
     # atom weights 1e160: the level-2 block (2,) weighs 2!/2! * (3e160)**2,
@@ -877,10 +891,10 @@ def test_export_peak_per_entry_within_refusal_estimate(tmp_path):
 def test_export_peak_per_block_within_refusal_estimate(tmp_path):
     # one grid point, gamma-40, depth 24: 7,338 blocks of one representative
     # each, so the peak is the per-block cost, which the size refusal quotes
-    # as _BYTES_PER_BLOCK; measured, it is 0.98 kB a block here (2.0 kB while
-    # every block kept its basis, 4.6 kB with per-pair assembly lists) and
-    # grows slowly with the depth, to 1.05 kB at depth 36; at depth 39, the
-    # deepest the cap admits, the estimate's entry term adds 0.96 kB a block
+    # as _BYTES_PER_BLOCK; measured, it is 746 bytes a block here (0.98 kB
+    # while the space kept a weight and an (n, alpha) key per block, 2.0 kB
+    # while every block kept its basis) and grows slowly with the depth, to
+    # 831 bytes at depth 36 and 871 at depth 44, the deepest the cap admits
     path = write(tmp_path, "deep.cfg", GAMMA_CFG.replace("depth 9", "depth 24"))
     out = tmp_path / "operator.txt"
     code, added = _fresh_python(_EXPORT_PEAK_PROBE, path, str(out)).split()
@@ -913,21 +927,21 @@ SIX_ATOM_CFG = TWO_POINT_CFG.replace(
     [
         (
             SIX_ATOM_CFG.replace("depth 4", "depth 60"),
-            "up to 13,527,286,651 operator entries in 241,502 blocks (about 605.6 GB) exceed the "
+            "up to 13,527,286,651 operator entries in 241,502 blocks (about 604.9 GB) exceed the "
             "limit of 0.9 GB",
         ),
         (
             SIX_ATOM_CFG.replace("depth 4", "depth 400"),
-            "operator entries in 9,291,593,969 blocks (about 1695387239010.7 GB) exceed the limit "
+            "operator entries in 9,291,593,969 blocks (about 1695387212185.0 GB) exceed the limit "
             "of 0.9 GB",
         ),
         (
-            GAMMA_CFG.replace("depth 9", "depth 44"),
-            "up to 9,837,365 operator entries in 451,487 blocks (about 2.1 GB) exceed the "
+            GAMMA_CFG.replace("depth 9", "depth 45"),
+            "up to 11,972,413 operator entries in 540,609 blocks (about 1.0 GB) exceed the "
             "limit of 0.9 GB",
         ),
     ],
-    ids=["G2-depth60", "G2-depth400", "G1-gamma40-depth44"],
+    ids=["G2-depth60", "G2-depth400", "G1-gamma40-depth45"],
 )
 def test_oversize_export_exits_2_before_listing_blocks(tmp_path, monkeypatch, capsys, cfg, message):
     _refuse_listing(monkeypatch)

@@ -57,6 +57,9 @@ class TestMultiIndex:
         assert MultiIndex((1, 0, 0)).multiplicities == (1,)
         assert MultiIndex((0, 0)).multiplicities == ()
 
+    def test_keeps_no_instance_dict(self):
+        assert not hasattr(MultiIndex((1, 2)), "__dict__")
+
     def test_degree_and_size(self):
         alpha = MultiIndex((2, 0, 1))
         assert alpha.degree == 2 + 3
@@ -493,6 +496,61 @@ class TestFockSpace:
         finally:
             tracemalloc.stop()
         assert kept < 100 * len(space.block_keys())
+
+    def test_space_keeps_one_slice_per_block(self, gamma40):
+        # one grid point, depth 24: 7,338 blocks, each kept as its multi-index
+        # and its slice in one per-level mapping; a per-block weight store and
+        # (n, alpha) keys made it 449 bytes a block
+        grid, table = GridSpace((1.3,)), stieltjes(gamma40, 24)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            space = FockSpace(grid, gamma40, table, 24)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(space.block_keys()) == 7_338
+        assert kept <= 320 * 7_338
+
+    def test_blocks_die_with_their_space(self, gamma40):
+        # one grid point, depth 20: 2,714 blocks; no process-wide cache keeps
+        # them once the space is gone (a cache of partitions held about 500 kB,
+        # under a part cap of 23 that no other test lists blocks with)
+        grid, table = GridSpace((1.3,)), stieltjes(gamma40, 23)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            space = FockSpace(grid, gamma40, table, 20)
+            assert len(space.block_keys()) == 2_714
+            del space
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert left <= 20_000
+
+    def test_overflowing_weight_refused_where_formed(self):
+        # atom weights 1e160: block (2,) weighs 2!/2! * (2e160)**2, past the
+        # largest double; the space builds, and its weights refuse it
+        measure = JumpMeasure((-1.0, 1.0), (1e160, 1e160))
+        table = stieltjes(measure, 2)
+        space = FockSpace(GridSpace((1.0,)), measure, table, 2)
+        message = r"weight of block \(2,\) overflows the doubles"
+        with pytest.raises(ValueError, match=message):
+            space.flat_weights
+        with pytest.raises(ValueError, match=message):
+            space.weight(2, MultiIndex((2,)))
+        assert space.weight(2, MultiIndex((0, 1))) == block_weight(MultiIndex((0, 1)), table)
+
+    def test_block_lookups_refuse_blocks_outside_the_space(self, nu2, g1):
+        space = FockSpace(g1, nu2, stieltjes(nu2, 2), 3)
+        top = space.blocks(3)[0]
+        foreign = [(2, top), (3, MultiIndex((2,))), (4, MultiIndex((4,))), (-1, top)]
+        for n, alpha in foreign + [(-1, MultiIndex(()))]:
+            with pytest.raises(KeyError):
+                space.block_slice(n, alpha)
+            with pytest.raises(KeyError):
+                space.weight(n, alpha)
 
     @pytest.mark.parametrize("grid_size,depth", [(1, 8), (2, 5), (4, 4)])
     def test_closed_form_layout_matches_enumeration(self, gamma40, grid_size, depth):

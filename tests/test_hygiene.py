@@ -136,7 +136,7 @@ def test_package_caches_are_keyed_by_integers():
         names, bad = cached_non_integer_parameters(ast.parse(path.read_text(encoding="utf-8")))
         assert bad == [], path.name
         cached += names
-    assert {"partitions", "sorted_tuple_count"} <= set(cached)
+    assert {"sorted_tuple_count", "_rank_terms"} <= set(cached)
 
 
 def test_conftest_imports_only_public_names():

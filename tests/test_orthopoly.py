@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from levyfock import JumpMeasure, RecurrenceTable, stieltjes
+from levyfock import JumpMeasure, RecurrenceTable, gauss_laguerre_gamma, stieltjes
 
 from conftest import random_measure
 
@@ -91,6 +91,25 @@ def test_degenerate_measure_detected():
     nearly_equal = JumpMeasure((1.0, 1.0 + 1e-15), (0.5, 0.5))
     with pytest.raises(ValueError, match="degenerate at depth 1"):
         stieltjes(nearly_equal, 2)
+
+
+def test_polynomial_overflow_refused_by_degree():
+    # order 180 reaches degree 55: the degree-55 polynomial's first moment
+    # leaves the doubles; refused by degree with one error, no RuntimeWarning
+    measure = gauss_laguerre_gamma(180)
+    with pytest.raises(ValueError) as info:
+        stieltjes(measure, 60)
+    assert str(info.value) == (
+        "values or squared norm of the degree-55 orthogonal polynomial overflow the "
+        "doubles; lower the depth to at most 55"
+    )
+    assert stieltjes(measure, 55).depth == 55
+
+
+def test_far_atoms_overflow_not_reported_as_degeneracy():
+    far = JumpMeasure((-1e200, 1e200, 3e200), (1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="^values or squared norm of the degree-1 "):
+        stieltjes(far, 3)
 
 
 def eval_monic(table: RecurrenceTable, n: int, s: float) -> float:
