@@ -16,8 +16,8 @@ blocks die with it.  It counts the blocks, their closed-form dimensions and
 the operator's entry bound before listing any block, so an oversize space
 costs no enumeration to refuse.  It also owns the pairing: one weight per
 flat position, built on first use from block weights formed there, and
-read by every inner product, defect and the creation transpose; spaces on
-one grid and table share the layout of their common levels.  A block basis
+read by every inner product, defect and the creation transpose.  A vector
+pairs only with vectors of the space object that built it.  A block basis
 holds no array: a representative's position is the mixed-radix number, in
 part-size order, of each segment's lexicographic rank, and that rank is a
 sum of binomial coefficients, so whole arrays of tuples are ranked at
@@ -271,7 +271,6 @@ class BlockBasis:
     (:meth:`FockSpace.tuples`), and keeps their weights in its pairing.
     """
 
-    alpha: MultiIndex
     radix: tuple[int, ...]  # number of sorted tuples per part size
 
     @property
@@ -304,7 +303,7 @@ class BlockBasis:
 def block_basis(alpha: MultiIndex, grid: GridSpace) -> BlockBasis:
     size = grid.size
     radix = tuple([sorted_tuple_count(size, m) for m in alpha.multiplicities])
-    return BlockBasis(alpha, radix)
+    return BlockBasis(radix)
 
 
 @dataclass
@@ -347,19 +346,24 @@ _BYTES_PER_BLOCK = 900
 
 
 def _count(size: int, depth: int, max_part: int) -> tuple[int, int, int]:
-    """Block count, dimension and entry bound of a space, listing no block:
-    part size k at multiplicity m multiplies a block's dimension by
-    ``C(G + m - 1, m)`` and adds m to its size, so the per-level sums grow
-    one part size at a time, levels downwards to read those without it."""
+    """Block count, dimension and entry bound of a space, listing no block.
+
+    Per level these are coefficients of generating functions grown one part
+    size k at a time: the blocks times ``1 / (1 - x^k)``, one step-k prefix
+    sum, and the dimensions and sizes times ``(1 - x^k)^-G``, G such sums,
+    the sizes first gaining ``G x^k / (1 - x^k)`` times the dimensions (m
+    parts of size k add m to a block's size, ``C(G + m - 1, m)`` factors to
+    its dimension)."""
     blocks, dims, sizes = [1] + [0] * depth, [1] + [0] * depth, [0] * (depth + 1)
     for k in range(1, min(max_part, depth) + 1):
-        choose = [sorted_tuple_count(size, m) for m in range(depth // k + 1)]
-        for n in range(depth, k - 1, -1):
-            for m in range(1, n // k + 1):
-                below, c = n - k * m, choose[m]
-                blocks[n] += blocks[below]
-                dims[n] += c * dims[below]
-                sizes[n] += c * (sizes[below] + m * dims[below])
+        tail = [0] * (depth + 1)  # x^k / (1 - x^k) times the dimensions
+        for n in range(k, depth + 1):
+            blocks[n] += blocks[n - k]
+            tail[n] = tail[n - k] + dims[n - k]
+            sizes[n] += size * tail[n]
+        for _, n in itertools.product(range(size), range(k, depth + 1)):
+            dims[n] += dims[n - k]
+            sizes[n] += sizes[n - k]
     dim = sum(dims)
     return sum(blocks), dim, dim + 2 * sum(size * dims[n] + sizes[n] for n in range(depth))
 
@@ -517,13 +521,6 @@ class FockSpace:
         """
         return self._entry_bound
 
-    def compatible(self, other: FockSpace) -> bool:
-        return (
-            self.grid == other.grid
-            and self.table == other.table
-            and self.depth == other.depth
-        )
-
     def zero(self) -> ExtendedFockVector:
         return ExtendedFockVector(self, np.zeros(self.dim))
 
@@ -571,17 +568,14 @@ class ExtendedFockVector:
 
 
 def _check_pairing(f: ExtendedFockVector, g: ExtendedFockVector) -> None:
-    if f.space.grid != g.space.grid:
-        raise ValueError("grid mismatch")
-    if f.space.table != g.space.table:
-        raise ValueError("recurrence table mismatch")
+    if f.space is not g.space:
+        raise ValueError("space mismatch: vectors of different spaces do not pair")
 
 
 def level_inner_product(f: ExtendedFockVector, g: ExtendedFockVector, n: int) -> float:
     """Single-level inner product: block weights, no factorial level weight.
     Summed block by block (level-3 oracle reports are pinned to that order)."""
     _check_pairing(f, g)
-    g.space.blocks(n)  # the level must lie in both truncations
     rep = f.space.flat_weights[1]
     total = 0.0
     for alpha in f.space.blocks(n):
@@ -592,7 +586,7 @@ def level_inner_product(f: ExtendedFockVector, g: ExtendedFockVector, n: int) ->
 
 
 def inner_product(f: ExtendedFockVector, g: ExtendedFockVector) -> float:
-    """Full-space inner product over the common levels: one ``math.fsum``."""
+    """Full-space inner product: one ``math.fsum``."""
     _check_pairing(f, g)
-    level, rep = min(f.space, g.space, key=lambda s: s.dim).flat_weights
-    return math.fsum(level * rep * f.values[: len(level)] * g.values[: len(level)])
+    level, rep = f.space.flat_weights
+    return math.fsum(level * rep * f.values * g.values)

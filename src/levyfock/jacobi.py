@@ -123,8 +123,8 @@ class FieldOperator:
         the top level are dropped: no creation entry starts there, as no
         annihilation entry ends there.
         """
-        if v.space is not self.space and not self.space.compatible(v.space):
-            raise ValueError("dimension mismatch: vector space differs from operator space")
+        if v.space is not self.space:
+            raise ValueError("space mismatch: the vector is not of the operator's space")
         x, rows, cols, vals, diag = v.values, self.rows, self.cols, self.vals, self.diag
         out = np.zeros(self.space.dim)
         for lo, hi in _pieces(0, len(vals), _ROW_CHUNK):
@@ -152,11 +152,12 @@ _ABOVE = np.iinfo(np.intp).max  # above every grid point
 
 
 def check_weights(space: FockSpace) -> None:
-    """Refuse representative or pairing weights outside the normal doubles,
-    as the chaos oracle refuses its own: :func:`creation` divides by them."""
+    """Refuse level, representative or pairing weights outside the normal
+    doubles, as the chaos oracle refuses its own: :func:`creation` divides
+    by the first two."""
     level, rep = space.flat_weights
     with np.errstate(over="ignore"):  # an overflow is refused below
-        weights = (rep, level * rep)
+        weights = (level, rep, level * rep)
     # min and max, not a boolean .all(): no 128 KB reduction buffer
     low, high = min(map(np.min, weights)), max(map(np.max, weights))
     if not (2.0**-1022 <= low and high < math.inf):

@@ -78,3 +78,28 @@ def test_setup_probe_runs_every_workload(monkeypatch, tmp_path):
         assert result.returncode == 0, (name, result.stderr)
         imported = Path(json.loads(result.stdout.splitlines()[-1])["levyfock"]).resolve()
         assert imported == src / "levyfock" / "__init__.py", name
+
+
+def test_benchmark_gate_accepts_this_checkout(monkeypatch, tmp_path):
+    # the benchmark's own gate, on each workload's seed-11 report, on the
+    # fault-injected twins it must catch, and on the table-level smoke
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from levyfock.cli import main
+
+    def run(command, inputs):
+        config, out = tmp_path / "run.cfg", tmp_path / "report.txt"
+        config.write_text(inputs.config_text(), encoding="utf-8")
+        out.unlink(missing_ok=True)
+        code = main([command, "--config", str(config), "--out", str(out)])
+        return code, out.read_text(encoding="utf-8") if out.exists() else ""
+
+    for name, workload in workloads.WORKLOADS.items():
+        inputs = workload.generate(11)
+        assert workload.check(inputs, *run(workload.command, inputs)) == [], name
+        if workload.has_twin:
+            faulty = workloads.twin(inputs)
+            assert workloads.check_twin(faulty, *run(workload.command, faulty)) == [], name
+    for command in ("recurrence", "classify"):
+        code, text = run(command, workloads.SMOKE)
+        assert workloads.check_smoke(command, code, text) == [], command

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -363,6 +364,39 @@ def test_weight_overflow_refused_with_one_error_line(tmp_path):
     assert result.stdout == ""
     [line] = result.stderr.splitlines()
     assert line.startswith("error: pairing weights from")
+
+
+SUBNORMAL_MASS_CFG = """\
+[measure]
+type inline
+locations -1 0.5 2
+weights 1e-310 2e-310 3e-310
+
+[grid]
+weights 1e150 2e150
+
+[phi]
+values 0.9 -0.4
+
+[run]
+depth {depth}
+"""
+
+
+@pytest.mark.parametrize("command, depth", [("export-operator", 1), ("verify-moments", 2)])
+def test_subnormal_level_weight_refused_with_one_error_line(tmp_path, command, depth):
+    # the level-1 weight is the measure's mass, 6e-310, a subnormal that
+    # creation divides by, while every representative and pairing weight is
+    # normal; unchecked, the export wrote infinite entries and exited 0, and
+    # verify-moments reported a NaN first moment
+    path = write(tmp_path, "subnormal.cfg", SUBNORMAL_MASS_CFG.format(depth=depth))
+    result = _fresh_cli(command, path, timeout=30)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: pairing weights from 6e-310 to 2e+150 leave the normal doubles; "
+        "rescale the grid weights or lower the depth"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -951,6 +985,24 @@ def test_oversize_export_exits_2_before_listing_blocks(tmp_path, monkeypatch, ca
     assert line.startswith("error: operator too large: up to ")
     assert message in line and line.endswith("; lower the depth or the grid size")
     assert not out.exists()
+
+
+def test_deep_refusal_costs_little(tmp_path):
+    # three atoms, two grid points, depth 16,000: the count took 64 s while
+    # it summed every multiplicity of every part size at every level
+    cfg = MULTI_POINT_CFG.replace("weights 0.7 1.1 1.3", "weights 0.7 1.1").replace(
+        "values 0.9 -0.4 1.2", "values 0.9 -0.4"
+    ).replace("depth 2\noracle_levels 2", "depth 16000")
+    path = write(tmp_path, "deep.cfg", cfg)
+    start = time.perf_counter()
+    result = _fresh_cli("export-operator", path, timeout=60)
+    assert time.perf_counter() - start < 10.0
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        "error: operator too large: up to 10,874,947,038,995,419,020,791,723 operator entries "
+        "in 113,852,459,112 blocks (about 486148016407976448.0 GB) exceed the limit of 0.9 GB; "
+        "lower the depth or the grid size"
+    ]
 
 
 def _counting(monkeypatch, owners, name):

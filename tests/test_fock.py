@@ -389,7 +389,7 @@ class TestInnerProduct:
         assert len(calls) == built
         assert space.flat_weights is space.flat_weights
 
-    def test_spaces_of_different_depth_pair_over_common_levels(self):
+    def test_spaces_of_different_depth_refuse_to_pair(self):
         grid = GridSpace((0.7, 1.1, 1.3))
         measure = JumpMeasure((-1.3, -0.4, 0.6, 1.1, 2.2), (0.7, 1.2, 0.5, 0.9, 1.1))
         table = stieltjes(measure, 4)
@@ -397,9 +397,11 @@ class TestInnerProduct:
         rng = np.random.default_rng(17)
         u = ExtendedFockVector(shallow, rng.normal(0, 1, shallow.dim))
         v = ExtendedFockVector(deep, rng.normal(0, 1, deep.dim))
-        cut = ExtendedFockVector(shallow, v.values[: shallow.dim])
-        assert inner_product(u, v) == inner_product(u, cut)
-        assert inner_product(v, u) == inner_product(cut, u)
+        for f, g in [(u, v), (v, u)]:
+            with pytest.raises(ValueError, match="vectors of different spaces do not pair"):
+                inner_product(f, g)
+            with pytest.raises(ValueError, match="vectors of different spaces do not pair"):
+                level_inner_product(f, g, 0)
         w = ExtendedFockVector(deep, rng.normal(0, 1, deep.dim))
         by_level = sum(
             math.factorial(n) * level_inner_product(v, w, n) for n in range(deep.depth + 1)
@@ -410,8 +412,18 @@ class TestInnerProduct:
         table = stieltjes(nu2, 2)
         space_a = FockSpace(g1, nu2, table, 2)
         space_b = FockSpace(GridSpace((1.0, 1.0)), nu2, table, 2)
-        with pytest.raises(ValueError, match="grid mismatch"):
+        with pytest.raises(ValueError, match="vectors of different spaces do not pair"):
             inner_product(space_a.vacuum(), space_b.vacuum())
+
+    def test_equal_spaces_built_apart_refuse_to_pair(self, nu2, g1):
+        # one grid, measure, table and depth: still two spaces
+        table = stieltjes(nu2, 2)
+        first, second = FockSpace(g1, nu2, table, 2), FockSpace(g1, nu2, table, 2)
+        assert first.dim == second.dim
+        for pairing in (inner_product, lambda f, g: level_inner_product(f, g, 1)):
+            with pytest.raises(ValueError, match="vectors of different spaces do not pair"):
+                pairing(first.vacuum(), second.vacuum())
+        assert inner_product(first.vacuum(), first.vacuum()) == 1.0
 
 
 class TestFockSpace:
@@ -431,13 +443,17 @@ class TestFockSpace:
         table = stieltjes(nu2, 2)
         shallow = FockSpace(g1, nu2, table, 2).vacuum()
         deep = FockSpace(g1, nu2, table, 3).vacuum()
-        for f, g, n in [(shallow, shallow, 3), (shallow, shallow, -1), (deep, shallow, 3)]:
+        for n in (3, -1):
             with pytest.raises(ValueError, match=f"level {n} outside the truncation of depth 2"):
-                level_inner_product(f, g, n)
+                level_inner_product(shallow, shallow, n)
+        for f, g in [(deep, shallow), (shallow, deep)]:
+            with pytest.raises(ValueError, match="vectors of different spaces do not pair"):
+                level_inner_product(f, g, 0)
         with pytest.raises(ValueError, match="level -1 outside the truncation of depth 2"):
             shallow.space.level_start(-1)
         assert shallow.space.level_start(3) == shallow.space.dim
-        assert level_inner_product(deep, shallow, 0) == 1.0
+        assert level_inner_product(deep, deep, 3) == 0.0
+        assert level_inner_product(shallow, shallow, 0) == 1.0
 
     def test_tables_are_read_only(self, nu2):
         space = FockSpace(GridSpace((0.7, 1.1, 1.3)), nu2, stieltjes(nu2, 2), 3)

@@ -564,6 +564,17 @@ class TestFullOperator:
         with pytest.raises(ValueError, match="mismatch"):
             full(phi, space).apply(other.vacuum())
 
+    def test_equal_space_built_apart_rejected(self, random_setup):
+        # same grid, measure, table and depth, so the same layout: still
+        # another space, and the operator maps only vectors of its own
+        _, _, space, phi = random_setup
+        twin = FockSpace(space.grid, space.measure, space.table, space.depth)
+        assert twin.dim == space.dim
+        op = full(phi, space)
+        with pytest.raises(ValueError, match="space mismatch: the vector is not of the operator"):
+            op.apply(twin.vacuum())
+        assert op.apply(space.vacuum()).space is space
+
     def test_first_moment_vanishes(self, nu2_space, g1):
         phi = constant(g1)
         op = full(phi, nu2_space)
